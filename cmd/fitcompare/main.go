@@ -65,8 +65,8 @@ func run() error {
 			"confidence level for the beam-vs-injection significance verdicts (Poisson vs Wilson interval overlap)")
 		prune = flag.Bool("prune", false,
 			"pre-filter the injection campaign's fault plan against a liveness replay and skip provably-masked injections (results are byte-identical either way; beam strikes always execute)")
-		pruneVerify = flag.Bool("prune-verify", false,
-			"shadow mode for the injection campaign: predict AND simulate every injection, failing on any disagreement (implies -prune)")
+		verify = flag.Bool("verify", false,
+			"cross-check both campaigns' fast paths against the plain reference: predicted and deduplicated injections also simulate, stopping runs the full plan, ladder convergence checks also compare full DRAM; any disagreement fails the run")
 		dedup = flag.Bool("dedup", false,
 			"collapse the injection campaign's plan into equivalence classes and simulate one representative per class (results are byte-identical either way; beam strikes always execute)")
 	)
@@ -122,7 +122,7 @@ func run() error {
 	beamCfg := beam.Config{
 		Scale: scale, Seed: *seed, BeamHours: *hours, Workers: *workers,
 		CheckpointEvery: *ckEvery, MaxCheckpoints: *ckMax, Obs: ocli.Obs,
-		Provenance: *prov,
+		Provenance: *prov, Verify: *verify,
 	}
 	var beamProg beam.Progress
 	var gefinProg gefin.Progress
@@ -157,7 +157,7 @@ func run() error {
 	injCfg := gefin.Config{
 		Scale: scale, Seed: *seed, FaultsPerComponent: *faults, Workers: *workers,
 		CheckpointEvery: *ckEvery, MaxCheckpoints: *ckMax, Obs: ocli.Obs,
-		Provenance: *prov, Prune: *prune, PruneVerify: *pruneVerify, Dedup: *dedup,
+		Provenance: *prov, Prune: *prune, Dedup: *dedup, Verify: *verify,
 	}
 	injRes, err := gefin.Run(injCfg, specs, gefinProg)
 	if err != nil {

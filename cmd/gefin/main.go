@@ -10,10 +10,10 @@
 //	      [-components l1d,dtlb] [-trace trace.jsonl] [-prov]
 //	      [-metrics-addr 127.0.0.1:9100]
 //	      [-checkpoint-every 150000] [-max-checkpoints 64]
-//	      [-cpuprofile cpu.prof] [-memprofile mem.prof] [-ladder-debug]
-//	      [-prune] [-prune-verify] [-dedup] [-dedup-verify] [-exhaustive]
+//	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
+//	      [-prune] [-dedup] [-exhaustive] [-verify]
 //	      [-remote http://host:8440]
-//	      [-target-margin 0.04] [-confidence 0.99] [-stop-shadow]
+//	      [-target-margin 0.04] [-confidence 0.99]
 package main
 
 import (
@@ -146,18 +146,12 @@ func run() error {
 			"golden-run checkpoint-ladder rung spacing in cycles; 0 disables the ladder (results are bit-identical either way)")
 		ckMax = flag.Int("max-checkpoints", soc.DefaultMaxCheckpoints,
 			"cap on checkpoint-ladder rungs per workload (spacing grows to fit)")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		memProf     = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
-		ladderDebug = flag.Bool("ladder-debug", false,
-			"cross-check every incremental dirty-page convergence check against the exact full-image comparison (slow; panics on disagreement)")
-		prune = flag.Bool("prune", false,
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
+		prune   = flag.Bool("prune", false,
 			"pre-filter the fault plan against a liveness replay and skip provably-masked injections (results are byte-identical either way)")
-		pruneVerify = flag.Bool("prune-verify", false,
-			"shadow mode: predict AND simulate every injection, failing the campaign on any disagreement (implies -prune; no speedup)")
 		dedup = flag.Bool("dedup", false,
 			"collapse planned injections into equivalence classes (same fault site, same quiescent window) and simulate one representative per class (results are byte-identical either way)")
-		dedupVerify = flag.Bool("dedup-verify", false,
-			"shadow mode: simulate every class member and compare against its representative, failing the campaign on any disagreement (implies -dedup; no speedup)")
 		exhaustive = flag.Bool("exhaustive", false,
 			"enumerate every (fault site x quiescent window) of the selected components instead of sampling, for a population-exact AVF (local only; use -components to pick liveness-covered targets)")
 		components = flag.String("components", "",
@@ -168,8 +162,8 @@ func run() error {
 			"sequential early stopping: truncate each component's plan at the first check boundary where every class estimate reaches this confidence-interval half-width (0 disables; the stopped Result is byte-identical to the same plan-order prefix of a full run)")
 		confidence = flag.Float64("confidence", 0,
 			"confidence level for -target-margin and reported margins (0 = 0.99, the paper's level)")
-		stopShadow = flag.Bool("stop-shadow", false,
-			"shadow mode: execute the full plan while computing the same sequential cuts and emitting the truncated aggregation (CI cross-checks it byte-for-byte against a genuinely stopped run)")
+		verify = flag.Bool("verify", false,
+			"cross-check every enabled fast path against the plain reference: predicted (-prune) and deduplicated (-dedup) injections also simulate and are compared, -target-margin executes the full plan while emitting the same truncated aggregation, and every ladder convergence check also compares full DRAM; any disagreement fails the campaign (slow; no speedup)")
 	)
 	flag.Parse()
 
@@ -221,17 +215,14 @@ func run() error {
 		TLBFullEntry:       *tlbFull,
 		CheckpointEvery:    *ckEvery,
 		MaxCheckpoints:     *ckMax,
-		LadderDebug:        *ladderDebug,
 		Obs:                ocli.Obs,
 		Provenance:         *prov,
 		Prune:              *prune,
-		PruneVerify:        *pruneVerify,
 		Dedup:              *dedup,
-		DedupVerify:        *dedupVerify,
 		Exhaustive:         *exhaustive,
 		TargetMargin:       *targetMargin,
 		Confidence:         *confidence,
-		StopShadow:         *stopShadow,
+		Verify:             *verify,
 	}
 	var progress gefin.Progress
 	if !*quiet {

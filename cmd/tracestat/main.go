@@ -328,7 +328,7 @@ func verifyInjectionResult(s *obs.Summary, res *gefin.Result, label string) int 
 		for _, cr := range w.Components {
 			c := s.Component(obs.KindInjection, w.Workload, cr.Comp)
 			pred += c.Predicted
-			sim += c.Records - c.Predicted
+			sim += c.Records - c.Predicted - c.Deduped
 			if c.Records != cr.N {
 				fmt.Printf("MISMATCH %s/%s: trace has %d records, result expects %d\n",
 					w.Workload, cr.Comp, c.Records, cr.N)
@@ -345,8 +345,9 @@ func verifyInjectionResult(s *obs.Summary, res *gefin.Result, label string) int 
 	}
 	// A pruned Result carries its predicted/simulated split outside the
 	// Workloads; the trace's predicted records must reproduce it exactly.
-	// (Shadow-verified campaigns simulate every slot, so the trace carries
-	// no predicted records there — nothing to cross-check.)
+	// Simulated means neither predicted nor deduplicated on both sides.
+	// (Verify campaigns simulate every slot, so the trace carries no
+	// predicted records there — nothing to cross-check.)
 	if ps := res.Prune; ps != nil && ps.Verified == 0 {
 		if pred != ps.Predicted || sim != ps.Simulated {
 			fmt.Printf("MISMATCH prune split: trace has %d predicted / %d simulated records, result summarises %d / %d\n",

@@ -105,12 +105,6 @@ type Config struct {
 	// MaxCheckpoints caps the rungs a ladder may hold; zero picks
 	// soc.DefaultMaxCheckpoints.
 	MaxCheckpoints int
-	// LadderDebug enables the ladder's debug cross-check: every
-	// incremental dirty-page DRAM convergence check also runs the exact
-	// full-image comparison and panics on disagreement. Process-wide and
-	// sticky once set (it flips soc.LadderDebugCompare); slow — for
-	// debugging and tests only.
-	LadderDebug bool
 	// StrikesPerComponent stratifies the modeled-strike Monte Carlo: that
 	// many strikes are simulated per component and each carries the weight
 	// expected_strikes(component)/samples. Zero derives a default from the
@@ -149,11 +143,14 @@ type Config struct {
 	// sequential rule. Zero picks DefaultStopCheckEvery. Part of the
 	// determinism surface.
 	StopCheckEvery int
-	// StopShadow simulates every strike while still computing the
-	// sequential cuts, then emits the truncated re-weighted result: a
-	// shadow run's Workloads are byte-identical to a genuinely stopped
-	// run's, which is how tests cross-check the prefix property.
-	StopShadow bool
+	// Verify simulates every strike while still computing the sequential
+	// cuts, then emits the truncated re-weighted result: a verified run's
+	// Workloads are byte-identical to a genuinely stopped run's, which is
+	// how tests cross-check the prefix property. It is the beam side of
+	// the injection engine's Verify; a beam ladder only fast-forwards
+	// fault-free replays and runs no convergence checks, so stopping is
+	// the one fast path there is to shadow.
+	Verify bool
 	// Provenance attaches a propagation-provenance probe to every strike:
 	// the struck location is tainted at strike time and traced records
 	// carry the mechanism verdict plus the lifecycle event chain. The
@@ -192,7 +189,7 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery > 0 && c.MaxCheckpoints == 0 {
 		c.MaxCheckpoints = soc.DefaultMaxCheckpoints
 	}
-	if c.TargetMargin > 0 || c.StopShadow {
+	if c.TargetMargin > 0 {
 		// Pin the stop rule's full determinism surface into the config, so
 		// a serialized manifest reproduces the identical cuts.
 		if c.Confidence == 0 {
@@ -201,11 +198,6 @@ func (c Config) withDefaults() Config {
 		if c.StopCheckEvery == 0 {
 			c.StopCheckEvery = DefaultStopCheckEvery
 		}
-	}
-	if c.LadderDebug {
-		// One-way: never cleared here, so concurrent campaigns with the
-		// knob off cannot race a debugging campaign's setting away.
-		soc.LadderDebugCompare.Store(true)
 	}
 	c.Workers = sched.Resolve(c.Workers)
 	return c
@@ -664,7 +656,7 @@ func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*W
 
 	var stop *StopSummary
 	if rule.Enabled() {
-		stop = &StopSummary{TargetMargin: cfg.TargetMargin, Confidence: cfg.Confidence, Shadow: cfg.StopShadow}
+		stop = &StopSummary{TargetMargin: cfg.TargetMargin, Confidence: cfg.Confidence, Shadow: cfg.Verify}
 		for ci, pr := range partial {
 			stop.Chains = append(stop.Chains, StopChain{
 				Workload: spec.Name,

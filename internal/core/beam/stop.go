@@ -47,7 +47,7 @@ type StopSummary struct {
 	Planned  int `json:"planned"`
 	Executed int `json:"executed"`
 	Saved    int `json:"saved"`
-	// Shadow marks a run that simulated every strike (Config.StopShadow)
+	// Shadow marks a run that simulated every strike (Config.Verify)
 	// while computing the same cuts and emitting the truncated result.
 	Shadow bool        `json:"shadow,omitempty"`
 	Chains []StopChain `json:"chains,omitempty"`
@@ -99,7 +99,7 @@ func newChainStop(cfg Config, workload string, comp fault.Component, perComp int
 	return &chainStop{
 		rule:     rule,
 		every:    every,
-		shadow:   cfg.StopShadow,
+		shadow:   cfg.Verify,
 		conv:     conv,
 		ob:       cfg.Obs,
 		tc:       tc,

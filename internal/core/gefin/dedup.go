@@ -11,7 +11,6 @@
 package gefin
 
 import (
-	"fmt"
 	"time"
 
 	"armsefi/internal/core/equiv"
@@ -20,15 +19,15 @@ import (
 	"armsefi/internal/obs"
 )
 
-// dedupPlan holds one workload's equivalence-class partition.
+// dedupPlan holds one workload's equivalence-class partition. The plan
+// resolver elects each class's lowest slot inside the range it resolves
+// as representative, so a shard elects a shard-local one.
 type dedupPlan struct {
 	classes []equiv.Class
 	// classOf maps each plan slot to its class index (-1 for slots
-	// outside any multi-member class); member marks the non-representative
-	// members — the slots a deduplicated execution order excludes.
+	// outside any multi-member class).
 	classOf []int
-	member  []bool
-	summary DedupSummary
+	stats   equiv.Stats
 }
 
 // buildDedup partitions the plan against the workbench's liveness log,
@@ -47,10 +46,7 @@ func buildDedup(cfg Config, wb *harness.Workbench, workload string, plan []plann
 	if pp != nil {
 		eligible = func(i int) bool { return !pp.decided[i] }
 	}
-	dd := &dedupPlan{
-		classOf: make([]int, len(plan)),
-		member:  make([]bool, len(plan)),
-	}
+	dd := &dedupPlan{classOf: make([]int, len(plan))}
 	dd.classes = equiv.Partition(wb.Liveness, faults, eligible)
 	for i := range dd.classOf {
 		dd.classOf[i] = -1
@@ -58,13 +54,9 @@ func buildDedup(cfg Config, wb *harness.Workbench, workload string, plan []plann
 	for ci, cl := range dd.classes {
 		for _, m := range cl.Members {
 			dd.classOf[m] = ci
-			if m != cl.Rep {
-				dd.member[m] = true
-			}
 		}
 	}
-	st := equiv.StatsOf(dd.classes)
-	dd.summary = DedupSummary{Classes: st.Classes, Deduped: st.Deduped, MaxClass: st.MaxClass}
+	dd.stats = equiv.StatsOf(dd.classes)
 	if cfg.Obs.On() {
 		sizes := make([]int, len(dd.classes))
 		for ci, cl := range dd.classes {
@@ -103,18 +95,4 @@ func (dd *dedupPlan) emit(cfg Config, workload string, p plannedFault, rep outco
 	}
 	tc.Stamp(&rec)
 	cfg.Obs.Record(rec, now, now)
-}
-
-// dedupMismatch compares a shadow-mode member's simulated outcome
-// against its representative's and describes the disagreement ("" on
-// match). Both outcomes come from provenance runs, so the mechanism
-// verdicts compare too.
-func dedupMismatch(member, rep plannedFault, want, got outcome) string {
-	if got.class == want.class && got.mech == want.mech && got.valid == want.valid && got.kernel == want.kernel {
-		return ""
-	}
-	return fmt.Sprintf("%v bit=%d cycle=%d (rep cycle=%d): representative %v/%v valid=%v kernel=%v, member %v/%v valid=%v kernel=%v",
-		member.f.Comp, member.f.Bit, member.f.Cycle, rep.f.Cycle,
-		want.class, want.mech, want.valid, want.kernel,
-		got.class, got.mech, got.valid, got.kernel)
 }

@@ -97,18 +97,20 @@ func TestDedupSummarySplit(t *testing.T) {
 	}
 }
 
-// TestDedupVerifyShadowMode is the cross-validation harness: shadow mode
-// simulates every class member AND materializes nothing, comparing each
-// member's simulated verdict against its representative's. Zero
-// mismatches at one worker and four, on both workloads, validates the
-// equivalence-class construction against ground truth.
+// TestDedupVerifyShadowMode is the cross-validation harness: a Verify
+// campaign with deduplication on simulates every class member AND
+// materializes nothing, comparing each member's simulated verdict against
+// its representative's. Zero mismatches at one worker and four, on both
+// workloads, validates the equivalence-class construction against ground
+// truth. (TestPruneVerifyShadowMode runs Verify with the pre-filter on as
+// well, where few undecided slots are left to collide into classes.)
 func TestDedupVerifyShadowMode(t *testing.T) {
 	for _, workload := range []string{"crc32", "matmul"} {
 		for _, workers := range []int{1, 4} {
 			cfg := dedupConfig(5)
 			cfg.Workers = workers
 			cfg.CheckpointEvery = soc.DefaultCheckpointEvery
-			cfg.DedupVerify = true
+			cfg.Dedup, cfg.Verify = true, true
 			spec, _ := bench.ByName(workload)
 			res, err := Run(cfg, []bench.Spec{spec}, nil)
 			if err != nil {
@@ -122,8 +124,9 @@ func TestDedupVerifyShadowMode(t *testing.T) {
 				t.Fatalf("%s workers=%d: verified %d/%d with %d mismatches",
 					workload, workers, s.Verified, s.Deduped, s.Mismatches)
 			}
-			if want := PlanLen(cfg.withDefaults()); s.Simulated != want {
-				t.Fatalf("%s workers=%d: shadow mode simulated %d of %d", workload, workers, s.Simulated, want)
+			if want := PlanLen(cfg.withDefaults()); s.Deduped+s.Simulated != want {
+				t.Fatalf("%s workers=%d: shadow split %d deduped + %d simulated != plan %d",
+					workload, workers, s.Deduped, s.Simulated, want)
 			}
 		}
 	}
@@ -184,8 +187,8 @@ func TestDedupShardInvariance(t *testing.T) {
 
 	// Shadow mode on the shard path: every member simulates and the
 	// runner fails the shard on any disagreement with its representative.
-	vcfg := cfg
-	vcfg.DedupVerify = true
+	vcfg := dcfg
+	vcfg.Verify = true
 	vr := NewShardRunner(vcfg)
 	if _, _, err := vr.RunShard(spec, 0, n); err != nil {
 		t.Fatalf("shard shadow mode: %v", err)

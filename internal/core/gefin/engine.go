@@ -11,9 +11,6 @@ package gefin
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"armsefi/internal/bench"
@@ -22,6 +19,7 @@ import (
 	"armsefi/internal/core/sched"
 	"armsefi/internal/mem"
 	"armsefi/internal/obs"
+	"armsefi/internal/soc"
 )
 
 // plannedFault is one pre-drawn injection of the campaign plan.
@@ -32,16 +30,18 @@ type plannedFault struct {
 
 // outcome is the record of one executed injection. mech is the
 // provenance mechanism verdict when one was computed (provenance or
-// shadow-verify runs with an armed probe); aggregation ignores it.
-// cycles and outstr carry the raw run observables so a deduplicated
-// member's trace record can reproduce its representative's skeleton.
+// Verify runs with an armed probe); aggregation ignores it. cycles and
+// outstr carry the raw run observables so a deduplicated member's trace
+// record can reproduce its representative's skeleton. convMismatches
+// counts the run's ladder convergence-check disagreements (Verify only).
 type outcome struct {
-	class  fault.Class
-	valid  bool
-	kernel bool
-	mech   fault.Mechanism
-	cycles uint64
-	outstr string
+	class          fault.Class
+	valid          bool
+	kernel         bool
+	mech           fault.Mechanism
+	cycles         uint64
+	outstr         string
+	convMismatches int
 }
 
 // sideSummaries carries one workload's optional side reports — the parts
@@ -81,13 +81,16 @@ func sampleFaults(cfg Config, sizes []uint64, goldenCycles uint64, rng *rand.Ran
 }
 
 // prepareWorkbench builds the workload's workbench (and its checkpoint
-// ladder and pre-filter liveness log when configured) — the setup shared
-// by the in-process engine and the campaign-service shard runner.
+// ladder and pre-filter liveness log when configured) — the setup step of
+// prepare, shared by the in-process engine and the shard runner.
 func prepareWorkbench(cfg Config, spec bench.Spec) (*harness.Workbench, error) {
 	wb, err := harness.Build(cfg.Preset, cfg.Model, spec, cfg.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("gefin: %w", err)
 	}
+	// Verify cross-checks every ladder convergence verdict; clones inherit
+	// the setting.
+	wb.Machine.VerifyConvergence = cfg.Verify
 	if cfg.CheckpointEvery > 0 {
 		// One instrumented golden replay per workload; clones share the
 		// resulting ladder, so the capture cost is paid once.
@@ -122,82 +125,65 @@ func planFor(cfg Config, wb *harness.Workbench, name string) ([]plannedFault, []
 
 // execPlanned executes one pre-drawn injection on the workbench,
 // emitting trace records and metrics when an observer is attached. It is
-// the single per-injection execution path: the in-process drain loop and
-// the shard runner both go through it, so a shard executed on a remote
-// node takes exactly the code path of a local run. tc stamps distributed
-// trace context (campaign/shard/node/span) onto emitted records; the
-// zero context stamps nothing.
+// the single per-injection execution path of the plan resolver, so a
+// shard executed on a remote node takes exactly the code path of a local
+// run. A non-nil probe runs the injection with propagation provenance;
+// the probe is purely observational. tc stamps distributed trace context
+// (campaign/shard/node/span) onto emitted records; the zero context
+// stamps nothing.
 func execPlanned(cfg Config, wb *harness.Workbench, workload string, probe *mem.Probe, p plannedFault, worker int, tc obs.TraceContext) outcome {
-	var o outcome
-	switch {
-	case cfg.Provenance:
-		// The probe runs even without an observer, so the determinism
-		// contract (Results byte-identical with provenance on or off) is
-		// exercised by the probe itself, not by tracing.
-		start := time.Now()
-		class, ctx, raw, ls := wb.RunFaultProv(p.f, cfg.WarmCaches, probe)
-		stop := time.Now()
-		o = outcome{class: class, valid: ctx.LineValid, kernel: ctx.KernelOwned(), cycles: raw.Cycles, outstr: raw.Outcome.String()}
-		if probe.Armed() {
-			o.mech = fault.MechanismOf(class, raw, probe)
-		}
-		if cfg.Obs.On() {
-			cfg.Obs.LadderRun(ls)
-			rec := obs.Record{
-				Kind:       obs.KindInjection,
-				Workload:   workload,
-				Comp:       p.f.Comp,
-				Bit:        p.f.Bit,
-				Cycle:      p.f.Cycle,
-				Worker:     worker,
-				ExecCycles: raw.Cycles,
-				Outcome:    raw.Outcome.String(),
-				Class:      class,
-				Valid:      ctx.LineValid,
-				Kernel:     ctx.KernelOwned(),
-				FFCycles:   ls.FastForwarded,
-				EarlyExit:  ls.EarlyExit,
-			}
-			if probe.Armed() {
-				cfg.Obs.Mechanism(workload, p.f.Comp, o.mech)
-				rec.Mechanism = o.mech.String()
-				if ev, ok := probe.FirstRead(); ok {
-					rec.ReadCycle, rec.ReadPC, rec.ReadReg = ev.Cycle, ev.PC, ev.Reg
-				}
-				rec.ProvEvents = append([]mem.ProbeEvent(nil), probe.Events()...)
-				rec.ProvDropped = probe.Dropped()
-				rec.DivergedAt, rec.ConvergedAt = ls.DivergedAt, ls.ConvergedAt
-			}
-			tc.Stamp(&rec)
-			cfg.Obs.Record(rec, start, stop)
-		}
-	case cfg.Obs.On():
-		start := time.Now()
-		class, ctx, raw, ls := wb.RunFaultLadder(p.f, cfg.WarmCaches)
-		stop := time.Now()
-		o = outcome{class: class, valid: ctx.LineValid, kernel: ctx.KernelOwned(), cycles: raw.Cycles, outstr: raw.Outcome.String()}
-		cfg.Obs.LadderRun(ls)
-		rec := obs.Record{
-			Kind:       obs.KindInjection,
-			Workload:   workload,
-			Comp:       p.f.Comp,
-			Bit:        p.f.Bit,
-			Cycle:      p.f.Cycle,
-			Worker:     worker,
-			ExecCycles: raw.Cycles,
-			Outcome:    raw.Outcome.String(),
-			Class:      class,
-			Valid:      ctx.LineValid,
-			Kernel:     ctx.KernelOwned(),
-			FFCycles:   ls.FastForwarded,
-			EarlyExit:  ls.EarlyExit,
-		}
-		tc.Stamp(&rec)
-		cfg.Obs.Record(rec, start, stop)
-	default:
-		class, ctx, raw, _ := wb.RunFaultLadder(p.f, cfg.WarmCaches)
-		o = outcome{class: class, valid: ctx.LineValid, kernel: ctx.KernelOwned(), cycles: raw.Cycles, outstr: raw.Outcome.String()}
+	var start time.Time
+	if cfg.Obs.On() {
+		start = time.Now()
 	}
+	var (
+		class fault.Class
+		ctx   fault.Context
+		raw   soc.Result
+		ls    soc.LadderStats
+	)
+	if probe != nil {
+		class, ctx, raw, ls = wb.RunFaultProv(p.f, cfg.WarmCaches, probe)
+	} else {
+		class, ctx, raw, ls = wb.RunFaultLadder(p.f, cfg.WarmCaches)
+	}
+	o := outcome{class: class, valid: ctx.LineValid, kernel: ctx.KernelOwned(),
+		cycles: raw.Cycles, outstr: raw.Outcome.String(), convMismatches: ls.VerifyMismatches}
+	if probe.Armed() {
+		o.mech = fault.MechanismOf(class, raw, probe)
+	}
+	if !cfg.Obs.On() {
+		return o
+	}
+	stop := time.Now()
+	cfg.Obs.LadderRun(ls)
+	rec := obs.Record{
+		Kind:       obs.KindInjection,
+		Workload:   workload,
+		Comp:       p.f.Comp,
+		Bit:        p.f.Bit,
+		Cycle:      p.f.Cycle,
+		Worker:     worker,
+		ExecCycles: raw.Cycles,
+		Outcome:    o.outstr,
+		Class:      class,
+		Valid:      o.valid,
+		Kernel:     o.kernel,
+		FFCycles:   ls.FastForwarded,
+		EarlyExit:  ls.EarlyExit,
+	}
+	if probe.Armed() {
+		cfg.Obs.Mechanism(workload, p.f.Comp, o.mech)
+		rec.Mechanism = o.mech.String()
+		if ev, ok := probe.FirstRead(); ok {
+			rec.ReadCycle, rec.ReadPC, rec.ReadReg = ev.Cycle, ev.PC, ev.Reg
+		}
+		rec.ProvEvents = append([]mem.ProbeEvent(nil), probe.Events()...)
+		rec.ProvDropped = probe.Dropped()
+		rec.DivergedAt, rec.ConvergedAt = ls.DivergedAt, ls.ConvergedAt
+	}
+	tc.Stamp(&rec)
+	cfg.Obs.Record(rec, start, stop)
 	return o
 }
 
@@ -247,96 +233,73 @@ func aggregate(cfg Config, workload string, goldenCycles, goldenInstrs uint64, s
 	return out
 }
 
-// runWorkload builds the workload's primary workbench, pre-draws the fault
-// plan (or enumerates it, for an exhaustive sweep), and executes it across
-// the primary plus as many clone workbenches as the pool grants. The side
-// summaries carry whichever optional reports the configuration produced.
+// runWorkload prepares the workload (workbench, plan, pre-filter and
+// partition) and resolves its whole plan over the primary workbench plus
+// as many clones as the pool grants. The side summaries carry whichever
+// optional reports the configuration produced.
 func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*WorkloadResult, sideSummaries, error) {
 	var side sideSummaries
-	wb, err := prepareWorkbench(cfg, spec)
+	w, err := prepare(cfg, spec)
 	if err != nil {
 		return nil, side, err
 	}
-	var (
-		plan  []plannedFault
-		sizes []uint64
-		ep    *exhaustivePlan
-	)
-	if cfg.Exhaustive {
-		if ep, sizes, err = exhaustivePlanFor(cfg, wb); err != nil {
-			return nil, side, err
-		}
-		plan = ep.plan
-	} else {
-		plan, sizes = planFor(cfg, wb, spec.Name)
-	}
-	em.addTotal(len(plan))
-
-	// totals feeds the per-component progress denominators: uniform for a
-	// sampled campaign, the enumerated window counts for a sweep.
-	totals := make([]int, len(cfg.Components))
-	for ci := range totals {
-		totals[ci] = cfg.FaultsPerComponent
-		if ep != nil {
-			totals[ci] = ep.perComp[ci]
-		}
-	}
+	em.addTotal(len(w.plan))
 
 	// The commit controller streams plan-order tallies into the
 	// convergence estimators and, with a target margin set, decides each
 	// component's truncation point. Nil when neither is wanted.
-	sc := newStopController(cfg, spec.Name, len(plan), obs.TraceContext{})
-
-	// Pre-filter: classify the whole plan against the liveness log before
-	// any simulation. Decided slots resolve to their predicted outcome
-	// below; in shadow mode they are additionally simulated and checked.
-	var pp *prunePlan
-	if cfg.Prune {
-		pp = predictPlan(wb, plan)
+	sc := newStopController(cfg, spec.Name, len(w.plan), obs.TraceContext{})
+	r, err := w.resolve(0, len(w.plan), resolveEnv{
+		sc: sc,
+		em: em,
+		extra: func(n int) ([]*harness.Workbench, error) {
+			return claimClones(cfg, w.wb, pool, min(cfg.Workers-1, n))
+		},
+		release: pool.Release,
+	})
+	if err != nil {
+		return nil, side, err
 	}
 
-	// Equivalence-class partition over the pre-filter's undecided
-	// remainder: member slots resolve from their representative's outcome.
-	// An exhaustive plan already enumerates one injection per class, so
-	// there is nothing left to collapse.
-	var dd *dedupPlan
-	if cfg.Dedup && !cfg.Exhaustive {
-		dd = buildDedup(cfg, wb, spec.Name, plan, pp)
+	side.stop = sc.finish()
+	cuts := sc.cuts()
+	var counted func(i int) bool
+	if cuts != nil {
+		counted = func(i int) bool { return i%cfg.FaultsPerComponent < cuts[i/cfg.FaultsPerComponent] }
 	}
-
-	// Execution order: the slots that go to the simulator. With the ladder
-	// on, workers drain it sorted by injection cycle (ties broken by plan
-	// index), so consecutive runs on a worker restore the same or a
-	// neighbouring rung and the short early-injection runs cluster instead
-	// of straggling. The order is a pure execution permutation: every
-	// outcome still lands in its plan slot and aggregation stays in plan
-	// order, so the Result is bit-identical at any worker count, pruned or
-	// not, deduplicated or not, sorted or not.
-	order := make([]int, 0, len(plan))
-	for i := range plan {
-		if pp != nil && !cfg.PruneVerify && pp.decided[i] {
-			continue
+	ps, ds := splits(r.via, func(i int) string { return w.pp.preds[i].Mech.String() }, counted)
+	if w.pp != nil {
+		ps.Mismatches = r.miss.prune
+		if cfg.Verify {
+			ps.Verified = ps.Predicted
 		}
-		if dd != nil && !cfg.DedupVerify && dd.member[i] {
-			continue
+		side.prune = &ps
+	}
+	if w.dd != nil {
+		ds.Classes, ds.MaxClass = w.dd.stats.Classes, w.dd.stats.MaxClass
+		ds.Mismatches = r.miss.dedup
+		if cfg.Verify {
+			ds.Verified = ds.Deduped
 		}
-		order = append(order, i)
+		side.dedup = &ds
 	}
-	if cfg.CheckpointEvery > 0 {
-		sort.SliceStable(order, func(a, b int) bool {
-			return plan[order[a]].f.Cycle < plan[order[b]].f.Cycle
-		})
+	if err := r.miss.err(spec.Name); err != nil {
+		return nil, side, err
 	}
-	batches := batchByRung(wb.Ladder, plan, order)
+	if cfg.Exhaustive {
+		res, sweep := aggregateExhaustive(cfg, spec.Name, w.wb.Golden.Cycles, w.wb.Golden.Instructions, w.sizes, w.ep, r.outcomes)
+		side.sweep = sweep
+		return res, side, nil
+	}
+	return aggregate(cfg, spec.Name, w.wb.Golden.Cycles, w.wb.Golden.Instructions, w.sizes, r.outcomes, cuts), side, nil
+}
 
-	// Claim extra workers up-front (a clone is one kernel boot each) so a
-	// boot failure surfaces before any injection runs.
-	extras := cfg.Workers - 1
-	if extras > len(order)-1 {
-		extras = len(order) - 1
-	}
+// claimClones claims up to n extra worker workbenches from the pool. A
+// clone is one kernel boot each; claiming them up-front surfaces a boot
+// failure before any injection runs.
+func claimClones(cfg Config, wb *harness.Workbench, pool *sched.Pool, n int) ([]*harness.Workbench, error) {
 	var clones []*harness.Workbench
-	for len(clones) < extras {
+	for len(clones) < n {
 		ok := pool.TryAcquire()
 		cfg.Obs.CloneTry(ok)
 		if !ok {
@@ -348,184 +311,11 @@ func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*W
 			for range clones {
 				pool.Release()
 			}
-			return nil, side, fmt.Errorf("gefin: %w", err)
+			return nil, fmt.Errorf("gefin: %w", err)
 		}
 		clones = append(clones, clone)
 	}
-
-	outcomes := make([]outcome, len(plan))
-
-	// Resolve predicted slots without simulation (outside shadow mode):
-	// fill their outcomes, trace them as predicted, and tick progress.
-	if pp != nil && !cfg.PruneVerify {
-		for i := range plan {
-			if !pp.decided[i] || sc.skip(i) {
-				continue
-			}
-			outcomes[i] = pp.outcome(i)
-			sc.commit(i, outcomes[i].class)
-			pp.emit(cfg, wb, spec.Name, i, plan[i], 0, obs.TraceContext{})
-			em.tick(spec.Name, cfg.Components[plan[i].comp], totals[plan[i].comp])
-		}
-	}
-
-	// Shadow modes simulate everything with a provenance probe so every
-	// prediction (or materialized member) can be checked against the
-	// probe's mechanism verdict.
-	execCfg := cfg
-	if cfg.PruneVerify || cfg.DedupVerify {
-		execCfg.Provenance = true
-	}
-	var mismatchMu sync.Mutex
-	var mismatches []string
-
-	// Dynamic sharding: workers race on an atomic cursor over rung-sharing
-	// batches of the execution order (one-slot batches without a ladder),
-	// so load balances regardless of per-injection cost while consecutive
-	// runs on a worker restore the identical rung image — the
-	// copy-on-write DRAM restore then touches only the pages the previous
-	// run dirtied. Every outcome lands in its plan slot and aggregation
-	// order stays fixed.
-	var cursor int64
-	drain := func(worker int, w *harness.Workbench) {
-		em.workerStarted()
-		defer em.workerDone()
-		// Each worker owns its probe: arrays it taints are its own
-		// workbench's, so probes never cross goroutines.
-		var probe *mem.Probe
-		if execCfg.Provenance {
-			probe = new(mem.Probe)
-		}
-		for {
-			n := atomic.AddInt64(&cursor, 1) - 1
-			if n >= int64(len(batches)) {
-				return
-			}
-			b := batches[n]
-			for k := b.lo; k < b.hi; k++ {
-				i := order[k]
-				if sc.skip(i) {
-					continue
-				}
-				p := plan[i]
-				o := execPlanned(execCfg, w, spec.Name, probe, p, worker, obs.TraceContext{})
-				outcomes[i] = o
-				sc.commit(i, o.class)
-				if pp != nil && cfg.PruneVerify && pp.decided[i] {
-					if msg := pruneMismatch(p, pp.preds[i], o); msg != "" {
-						mismatchMu.Lock()
-						pp.summary.Mismatches++
-						if len(mismatches) < 8 {
-							mismatches = append(mismatches, msg)
-						}
-						mismatchMu.Unlock()
-					}
-				}
-				em.tick(spec.Name, cfg.Components[p.comp], totals[p.comp])
-				// A class representative materializes its outcome onto every
-				// member right here on its own worker: member slots are
-				// excluded from the execution order, so no other goroutine
-				// touches them, and the materialized outcome is by
-				// construction what simulating the member would produce.
-				if dd != nil && !cfg.DedupVerify {
-					if ci := dd.classOf[i]; ci >= 0 && dd.classes[ci].Rep == i {
-						for _, m := range dd.classes[ci].Members {
-							if m == i || sc.skip(m) {
-								continue
-							}
-							outcomes[m] = o
-							sc.commit(m, o.class)
-							dd.emit(cfg, spec.Name, plan[m], o, worker, obs.TraceContext{})
-							em.tick(spec.Name, cfg.Components[plan[m].comp], totals[plan[m].comp])
-						}
-					}
-				}
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for ci, clone := range clones {
-		wg.Add(1)
-		go func(worker int, clone *harness.Workbench) {
-			defer wg.Done()
-			defer pool.Release()
-			harness.Phased("shard-execution", func() { drain(worker, clone) })
-		}(ci+1, clone)
-	}
-	// The caller's own slot drives the primary.
-	harness.Phased("shard-execution", func() { drain(0, wb) })
-	wg.Wait()
-
-	side.stop = sc.finish()
-	cuts := sc.cuts()
-
-	// Early stopping truncates the execution order; report the
-	// deterministic truncated count (slots within the cuts), not however
-	// many slots workers raced past the cut before it committed.
-	simulated := len(order)
-	if cuts != nil && !cfg.StopShadow {
-		sim := 0
-		for _, i := range order {
-			if i%cfg.FaultsPerComponent < cuts[i/cfg.FaultsPerComponent] {
-				sim++
-			}
-		}
-		simulated = sim
-	}
-	beyondCut := func(i int) bool {
-		return cuts != nil && i%cfg.FaultsPerComponent >= cuts[i/cfg.FaultsPerComponent]
-	}
-
-	if pp != nil {
-		pp.summary.Simulated = simulated
-		if cfg.PruneVerify {
-			pp.summary.Verified = pp.summary.Predicted
-		}
-		side.prune = &pp.summary
-		if len(mismatches) > 0 {
-			return nil, side, fmt.Errorf("gefin: prune-verify: %d predicted verdicts disagree with simulation on %s (first: %s)",
-				pp.summary.Mismatches, spec.Name, mismatches[0])
-		}
-	}
-	if dd != nil {
-		dd.summary.Simulated = simulated
-		if cfg.DedupVerify {
-			// Shadow mode simulated every member above; check each against
-			// its representative now that all slots are final. Slots beyond
-			// a stopping cut never simulated, so they cannot be compared.
-			var dedupMismatches []string
-			for _, cl := range dd.classes {
-				if beyondCut(cl.Rep) {
-					continue
-				}
-				want := outcomes[cl.Rep]
-				for _, m := range cl.Members {
-					if m == cl.Rep || beyondCut(m) {
-						continue
-					}
-					dd.summary.Verified++
-					if msg := dedupMismatch(plan[m], plan[cl.Rep], want, outcomes[m]); msg != "" {
-						dd.summary.Mismatches++
-						if len(dedupMismatches) < 8 {
-							dedupMismatches = append(dedupMismatches, msg)
-						}
-					}
-				}
-			}
-			if len(dedupMismatches) > 0 {
-				side.dedup = &dd.summary
-				return nil, side, fmt.Errorf("gefin: dedup-verify: %d materialized verdicts disagree with simulation on %s (first: %s)",
-					dd.summary.Mismatches, spec.Name, dedupMismatches[0])
-			}
-		}
-		side.dedup = &dd.summary
-	}
-	if cfg.Exhaustive {
-		res, sweep := aggregateExhaustive(cfg, spec.Name, wb.Golden.Cycles, wb.Golden.Instructions, sizes, ep, outcomes)
-		side.sweep = sweep
-		return res, side, nil
-	}
-	return aggregate(cfg, spec.Name, wb.Golden.Cycles, wb.Golden.Instructions, sizes, outcomes, cuts), side, nil
+	return clones, nil
 }
 
 // emitter adapts the shared meter to gefin progress events, adding the

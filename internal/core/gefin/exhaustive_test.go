@@ -151,7 +151,6 @@ func TestExhaustiveValidate(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"target margin", func(c *Config) { c.TargetMargin = 0.01 }},
-		{"stop shadow", func(c *Config) { c.StopShadow = true }},
 		{"full tlb entries", func(c *Config) { c.TLBFullEntry = true }},
 		{"register file", func(c *Config) { c.Components = []fault.Component{fault.CompRegFile} }},
 	}

@@ -50,12 +50,6 @@ type Config struct {
 	// MaxCheckpoints caps the rungs a ladder may hold (the effective
 	// spacing grows to fit); zero picks soc.DefaultMaxCheckpoints.
 	MaxCheckpoints int
-	// LadderDebug enables the ladder's debug cross-check: every
-	// incremental dirty-page DRAM convergence check also runs the exact
-	// full-image comparison and panics on disagreement. Process-wide and
-	// sticky once set (it flips soc.LadderDebugCompare); slow — for
-	// debugging and tests only.
-	LadderDebug bool
 	// Workers bounds the campaign's worker pool. Each worker owns its own
 	// harness.Workbench (machines are stateful and cannot be shared); the
 	// full fault list is pre-drawn from the seeded RNG before execution
@@ -77,12 +71,6 @@ type Config struct {
 	// Result and into trace records tagged predicted=true. Results are
 	// byte-identical with pruning on or off, at any worker count.
 	Prune bool
-	// PruneVerify runs the pre-filter in shadow mode: every injection is
-	// predicted AND simulated (with a provenance probe), and any predicted
-	// verdict that disagrees with the simulated mechanism or outcome fails
-	// the campaign. Slow — the cross-validation harness for Prune; implies
-	// Prune.
-	PruneVerify bool
 	// Dedup enables equivalence-class injection deduplication: planned
 	// injections striking the same fault site within the same inter-event
 	// quiescent window of the liveness replay are provably
@@ -94,12 +82,6 @@ type Config struct {
 	// contract as Prune. Composes with Prune: classes form over the
 	// pre-filter's undecided remainder.
 	Dedup bool
-	// DedupVerify runs deduplication in shadow mode: every class member
-	// is simulated (with a provenance probe) and compared against its
-	// representative's outcome, mechanism, and context observables; any
-	// disagreement fails the campaign. Slow — the cross-validation
-	// harness for Dedup; implies Dedup.
-	DedupVerify bool
 	// Exhaustive replaces statistical sampling with a full sweep: every
 	// (fault site x quiescent window) of the selected components is
 	// enumerated from the liveness replay — one planned injection per
@@ -130,12 +112,18 @@ type Config struct {
 	// DefaultStopCheckEvery. Part of the determinism surface — the same
 	// value must be used to reproduce a stopped Result.
 	StopCheckEvery int
-	// StopShadow executes the entire plan while still computing the
-	// sequential cuts, then emits the truncated aggregation: the
-	// Workloads of a shadow run are byte-identical to a genuinely
-	// stopped run's, which is how CI cross-checks the prefix property
-	// without trusting the stop path itself.
-	StopShadow bool
+	// Verify checks every fast path of the campaign against the plain
+	// reference while still producing the fast path's Result: predicted
+	// slots and deduplicated members are also simulated (with a provenance
+	// probe) and compared against their predicted or representative
+	// verdict, mechanism and context; sequential stopping executes the full
+	// plan while computing the same cuts and emits the truncated
+	// aggregation; and every ladder convergence check also runs the exact
+	// full-image DRAM compare. Any disagreement fails the campaign, so a
+	// Verify run's Workloads are byte-identical to a plain run's. Slow —
+	// the cross-validation harness for Prune, Dedup, TargetMargin and the
+	// checkpoint ladder; it enables none of them itself.
+	Verify bool
 	// Provenance attaches a propagation-provenance probe to every
 	// injection: the struck location is tainted at flip time, the memory
 	// and CPU models report its lifecycle (first consuming read,
@@ -166,13 +154,7 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery > 0 && c.MaxCheckpoints == 0 {
 		c.MaxCheckpoints = soc.DefaultMaxCheckpoints
 	}
-	if c.PruneVerify {
-		c.Prune = true
-	}
-	if c.DedupVerify {
-		c.Dedup = true
-	}
-	if c.TargetMargin > 0 || c.StopShadow {
+	if c.TargetMargin > 0 {
 		// Pin the stop rule's full determinism surface into the config, so
 		// a serialized manifest reproduces the identical cuts.
 		if c.Confidence == 0 {
@@ -181,11 +163,6 @@ func (c Config) withDefaults() Config {
 		if c.StopCheckEvery == 0 {
 			c.StopCheckEvery = DefaultStopCheckEvery
 		}
-	}
-	if c.LadderDebug {
-		// One-way: never cleared here, so concurrent campaigns with the
-		// knob off cannot race a debugging campaign's setting away.
-		soc.LadderDebugCompare.Store(true)
 	}
 	c.Workers = sched.Resolve(c.Workers)
 	return c
@@ -281,16 +258,18 @@ func (w *WorkloadResult) Component(c fault.Component) (ComponentResult, bool) {
 // Workloads byte-identical with pruning on or off, and the summary is
 // exactly the part that differs.
 type PruneSummary struct {
-	// Predicted counts injections proven masked by the pre-filter and
-	// (outside shadow mode) excluded from simulation; Simulated counts
-	// the injections that ran on the simulator.
+	// Predicted counts injections proven masked by the pre-filter;
+	// Simulated counts the injections resolved by their own simulation
+	// (neither predicted nor deduplicated). Both cover the slots the
+	// Result aggregates: a sequential-stopping cut excludes the rest.
 	Predicted int `json:"predicted"`
 	Simulated int `json:"simulated"`
 	// ByMechanism counts predictions per masking-mechanism verdict.
 	ByMechanism map[string]int `json:"by_mechanism,omitempty"`
-	// Verified and Mismatches report shadow-mode cross-validation:
-	// predictions checked against their simulated mechanism/outcome, and
-	// disagreements found (any mismatch also fails the campaign).
+	// Verified and Mismatches report Verify cross-validation:
+	// predictions also simulated and checked against their simulated
+	// mechanism/outcome, and disagreements found (any mismatch also fails
+	// the campaign).
 	Verified   int `json:"verified,omitempty"`
 	Mismatches int `json:"mismatches,omitempty"`
 }
@@ -312,17 +291,14 @@ func (s *PruneSummary) merge(o *PruneSummary) {
 	}
 }
 
-// PredictedFraction returns the fraction of planned injections the
-// pre-filter decided. In shadow mode every injection simulates, so the
-// plan size is Simulated rather than the sum.
+// PredictedFraction returns the predicted share of the injections the
+// pre-filter classified — predicted plus simulated; deduplicated members
+// count in neither.
 func (s *PruneSummary) PredictedFraction() float64 {
 	if s == nil {
 		return 0
 	}
 	total := s.Predicted + s.Simulated
-	if s.Verified > 0 {
-		total = s.Simulated
-	}
 	if total == 0 {
 		return 0
 	}
@@ -335,9 +311,10 @@ func (s *PruneSummary) PredictedFraction() float64 {
 // exactly the part that differs.
 type DedupSummary struct {
 	// Classes counts the multi-member equivalence classes; Deduped the
-	// member injections resolved from their class representative without
-	// simulation; Simulated the injections that ran on the simulator
-	// (representatives, singleton classes, and undedupable sites).
+	// member injections resolved from their class representative;
+	// Simulated the injections resolved by their own simulation
+	// (representatives, singleton classes, and undedupable sites — never
+	// predicted ones).
 	// MaxClass is the largest class size. Classes and MaxClass are zero
 	// for remotely assembled campaigns: shards keep per-shard class
 	// tables that do not reassemble into a global partition.
@@ -345,10 +322,9 @@ type DedupSummary struct {
 	Deduped   int `json:"deduped"`
 	Simulated int `json:"simulated"`
 	MaxClass  int `json:"max_class,omitempty"`
-	// Verified and Mismatches report shadow-mode cross-validation
-	// (DedupVerify): members simulated and compared against their
-	// representative's outcome, and disagreements found (any mismatch
-	// also fails the campaign).
+	// Verified and Mismatches report Verify cross-validation: members
+	// also simulated and compared against their representative's outcome,
+	// and disagreements found (any mismatch also fails the campaign).
 	Verified   int `json:"verified,omitempty"`
 	Mismatches int `json:"mismatches,omitempty"`
 }
@@ -369,16 +345,12 @@ func (s *DedupSummary) merge(o *DedupSummary) {
 }
 
 // DedupedFraction returns the fraction of dedup-considered injections
-// resolved from a representative. In shadow mode every member simulates,
-// so the denominator is Simulated rather than the sum.
+// resolved from a representative.
 func (s *DedupSummary) DedupedFraction() float64 {
 	if s == nil {
 		return 0
 	}
 	total := s.Deduped + s.Simulated
-	if s.Verified > 0 {
-		total = s.Simulated
-	}
 	if total == 0 {
 		return 0
 	}
@@ -484,7 +456,7 @@ func (c Config) validate() error {
 	if !c.Exhaustive {
 		return nil
 	}
-	if c.TargetMargin > 0 || c.StopShadow {
+	if c.TargetMargin > 0 {
 		return fmt.Errorf("gefin: exhaustive sweeps measure the population exactly; sequential stopping does not apply")
 	}
 	if c.TLBFullEntry {

@@ -1,6 +1,6 @@
 // Campaign pre-filter glue: classify the pre-drawn plan against the
-// workload's liveness log, resolve decided slots without simulation, and
-// cross-check predictions against simulated verdicts in shadow mode.
+// workload's liveness log so the plan resolver can resolve decided slots
+// without simulation (or, under Verify, check them against simulation).
 // Predictions carry the exact verdict simulation would conclude, so the
 // aggregated Workloads stay byte-identical with pruning on or off — the
 // predicted/simulated split surfaces only in PruneSummary and in trace
@@ -9,7 +9,6 @@
 package gefin
 
 import (
-	"fmt"
 	"time"
 
 	"armsefi/internal/core/ace"
@@ -22,7 +21,6 @@ import (
 type prunePlan struct {
 	preds   []ace.Prediction
 	decided []bool
-	summary PruneSummary
 }
 
 // predictPlan classifies every planned injection against the workbench's
@@ -32,7 +30,6 @@ func predictPlan(wb *harness.Workbench, plan []plannedFault) *prunePlan {
 	pp := &prunePlan{
 		preds:   make([]ace.Prediction, len(plan)),
 		decided: make([]bool, len(plan)),
-		summary: PruneSummary{ByMechanism: make(map[string]int)},
 	}
 	for i, p := range plan {
 		pred, ok := ace.Predict(wb.Liveness, p.f)
@@ -40,8 +37,6 @@ func predictPlan(wb *harness.Workbench, plan []plannedFault) *prunePlan {
 			continue
 		}
 		pp.preds[i], pp.decided[i] = pred, true
-		pp.summary.Predicted++
-		pp.summary.ByMechanism[pred.Mech.String()]++
 	}
 	return pp
 }
@@ -81,20 +76,6 @@ func (pp *prunePlan) emit(cfg Config, wb *harness.Workbench, workload string, i 
 	}
 	tc.Stamp(&rec)
 	cfg.Obs.Record(rec, now, now)
-}
-
-// pruneMismatch compares a shadow-mode prediction against the simulated
-// verdict of the same slot and describes the disagreement ("" on match).
-// The simulated outcome comes from a provenance run, so o.mech is the
-// probe's mechanism verdict.
-func pruneMismatch(p plannedFault, pred ace.Prediction, o outcome) string {
-	if o.class == pred.Class && o.mech == pred.Mech && o.valid == pred.Valid && o.kernel == pred.Kernel {
-		return ""
-	}
-	return fmt.Sprintf("%v bit=%d cycle=%d: predicted %v/%v valid=%v kernel=%v, simulated %v/%v valid=%v kernel=%v",
-		p.f.Comp, p.f.Bit, p.f.Cycle,
-		pred.Class, pred.Mech, pred.Valid, pred.Kernel,
-		o.class, o.mech, o.valid, o.kernel)
 }
 
 // batchSpan is one contiguous range of the execution order whose

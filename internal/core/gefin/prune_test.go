@@ -92,18 +92,19 @@ func TestPruneSummarySplit(t *testing.T) {
 	}
 }
 
-// TestPruneVerifyShadowMode is the cross-validation harness: shadow mode
-// predicts every plan slot AND simulates it with the provenance probe
-// armed, then fails the campaign on any disagreement. Zero mismatches at
-// one worker and four, on both workloads, validates the liveness
-// pre-filter against ground truth.
+// TestPruneVerifyShadowMode is the cross-validation harness: a Verify
+// campaign with the pre-filter and deduplication on predicts every plan
+// slot it can AND simulates it with the provenance probe armed, then
+// fails the campaign on any disagreement. Zero mismatches at one worker
+// and four, on both workloads, validates the liveness pre-filter against
+// ground truth.
 func TestPruneVerifyShadowMode(t *testing.T) {
 	for _, workload := range []string{"crc32", "matmul"} {
 		for _, workers := range []int{1, 4} {
 			cfg := pruneConfig(2027)
 			cfg.Workers = workers
 			cfg.CheckpointEvery = soc.DefaultCheckpointEvery
-			cfg.PruneVerify = true
+			cfg.Prune, cfg.Dedup, cfg.Verify = true, true, true
 			spec, _ := bench.ByName(workload)
 			res, err := Run(cfg, []bench.Spec{spec}, nil)
 			if err != nil {
@@ -117,8 +118,9 @@ func TestPruneVerifyShadowMode(t *testing.T) {
 				t.Fatalf("%s workers=%d: verified %d/%d with %d mismatches",
 					workload, workers, s.Verified, s.Predicted, s.Mismatches)
 			}
-			if want := PlanLen(cfg.withDefaults()); s.Simulated != want {
-				t.Fatalf("%s workers=%d: shadow mode simulated %d of %d", workload, workers, s.Simulated, want)
+			if want := PlanLen(cfg.withDefaults()); s.Predicted+s.Simulated+res.Dedup.Deduped != want {
+				t.Fatalf("%s workers=%d: shadow split %d predicted + %d simulated + %d deduped != plan %d",
+					workload, workers, s.Predicted, s.Simulated, res.Dedup.Deduped, want)
 			}
 		}
 	}
@@ -168,8 +170,8 @@ func TestPruneShardInvariance(t *testing.T) {
 
 	// Shadow mode on the shard path: every slot simulates and the runner
 	// fails the shard on any disagreement.
-	vcfg := cfg
-	vcfg.PruneVerify = true
+	vcfg := pcfg
+	vcfg.Verify = true
 	vr := NewShardRunner(vcfg)
 	if _, _, err := vr.RunShard(spec, 0, n); err != nil {
 		t.Fatalf("shard shadow mode: %v", err)

@@ -14,8 +14,6 @@ import (
 
 	"armsefi/internal/bench"
 	"armsefi/internal/core/fault"
-	"armsefi/internal/core/harness"
-	"armsefi/internal/mem"
 	"armsefi/internal/obs"
 )
 
@@ -28,16 +26,18 @@ type ShardOutcome struct {
 	Kernel bool        `json:"kernel,omitempty"`
 	// Predicted marks a slot the pre-filter proved masked from the liveness
 	// log without simulating it (pruned campaigns only); Mechanism is the
-	// predicted masking mechanism. Both fields are bookkeeping for the
+	// predicted masking mechanism (under Verify the slot also simulated and
+	// matched the prediction). Both fields are bookkeeping for the
 	// coordinator's prune split — Class/Valid/Kernel already carry exactly
 	// what simulation would have concluded, so assembly ignores them.
 	Predicted bool   `json:"predicted,omitempty"`
 	Mechanism string `json:"mechanism,omitempty"`
 	// Dedup marks a slot materialized from a shard-local equivalence-class
 	// representative without its own simulation (deduplicated campaigns
-	// only). Bookkeeping for the coordinator's dedup split — the
-	// materialized Class/Valid/Kernel are by construction exactly what
-	// simulating the slot would have produced, so assembly ignores it.
+	// only; under Verify it also simulated and matched). Bookkeeping for
+	// the coordinator's dedup split — the materialized Class/Valid/Kernel
+	// are by construction exactly what simulating the slot would have
+	// produced, so assembly ignores it.
 	Dedup bool `json:"dedup,omitempty"`
 }
 
@@ -69,10 +69,11 @@ func PlanComponents(cfg Config) (comps []fault.Component, perComp int) {
 }
 
 // ShardRunner executes plan shards for one campaign Config, caching one
-// prepared workbench (boot + golden run + optional checkpoint ladder)
-// per workload so consecutive shards of the same workload pay no setup.
-// A runner is single-goroutine (one simulated machine per workload);
-// run several runners for parallelism.
+// prepared workload (boot + golden run + optional checkpoint ladder,
+// liveness log, pre-filter verdicts and partition) per workload so
+// consecutive shards of the same workload pay no setup. A runner is
+// single-goroutine (one simulated machine per workload); run several
+// runners for parallelism.
 type ShardRunner struct {
 	cfg Config
 	// Worker tags trace records emitted during shard runs, so a node's
@@ -82,164 +83,85 @@ type ShardRunner struct {
 	// (campaign/shard/node/span); the campaign-service worker sets it per
 	// assignment. The zero context stamps nothing.
 	Ctx     obs.TraceContext
-	benches map[string]*shardBench
-}
-
-type shardBench struct {
-	wb    *harness.Workbench
-	plan  []plannedFault
-	sizes []uint64
-	probe *mem.Probe
-	// pp holds the pre-filter verdicts over the whole plan (pruned
-	// campaigns only). Prediction is a pure function of the deterministic
-	// liveness replay and the pre-drawn plan, so every node of a
-	// distributed campaign derives identical verdicts for its shards.
-	pp *prunePlan
-	// dd holds the equivalence-class partition over the whole plan
-	// (deduplicated campaigns only) — like pp, identical on every node.
-	// Each RunShard call elects shard-local representatives: the first
-	// member of a class inside [lo, hi) simulates, later members in the
-	// same range materialize its outcome. Different shards of one class
-	// each simulate their own representative — redundant across shards but
-	// provably outcome-identical, so assembly stays bit-exact.
-	dd *dedupPlan
+	benches map[string]*prepared
 }
 
 // NewShardRunner builds a runner for the campaign Config. The Config is
 // normalised exactly like Run normalises it, so shard execution sees the
 // same effective knobs as an in-process campaign.
 func NewShardRunner(cfg Config) *ShardRunner {
-	return &ShardRunner{cfg: cfg.withDefaults(), benches: make(map[string]*shardBench)}
-}
-
-func (r *ShardRunner) bench(spec bench.Spec) (*shardBench, error) {
-	if b, ok := r.benches[spec.Name]; ok {
-		return b, nil
-	}
-	wb, err := prepareWorkbench(r.cfg, spec)
-	if err != nil {
-		return nil, err
-	}
-	plan, sizes := planFor(r.cfg, wb, spec.Name)
-	b := &shardBench{wb: wb, plan: plan, sizes: sizes}
-	if r.cfg.Provenance || r.cfg.PruneVerify || r.cfg.DedupVerify {
-		b.probe = new(mem.Probe)
-	}
-	if r.cfg.Prune {
-		b.pp = predictPlan(wb, plan)
-	}
-	if r.cfg.Dedup {
-		b.dd = buildDedup(r.cfg, wb, spec.Name, plan, b.pp)
-	}
-	r.benches[spec.Name] = b
-	return b, nil
+	return &ShardRunner{cfg: cfg.withDefaults(), benches: make(map[string]*prepared)}
 }
 
 // RunShard executes plan slots [lo, hi) of the workload and returns their
 // outcomes in slot order plus the workload's meta. The first shard of a
-// workload pays the workbench setup (kernel boot, golden run, ladder
-// capture); later shards reuse it.
+// workload pays the setup (kernel boot, golden run, ladder capture,
+// liveness replay); later shards reuse it. Equivalence classes elect
+// shard-local representatives: different shards of one class each
+// simulate their own — redundant across shards but provably
+// outcome-identical, so assembly stays bit-exact.
 func (r *ShardRunner) RunShard(spec bench.Spec, lo, hi int) ([]ShardOutcome, ShardMeta, error) {
-	b, err := r.bench(spec)
+	w, ok := r.benches[spec.Name]
+	if !ok {
+		var err error
+		if w, err = prepare(r.cfg, spec); err != nil {
+			return nil, ShardMeta{}, err
+		}
+		r.benches[spec.Name] = w
+	}
+	if lo < 0 || hi > len(w.plan) || lo >= hi {
+		return nil, ShardMeta{}, fmt.Errorf("gefin: shard [%d,%d) out of plan range [0,%d)", lo, hi, len(w.plan))
+	}
+	res, err := w.resolve(lo, hi, resolveEnv{worker: r.Worker, tc: r.Ctx})
 	if err != nil {
 		return nil, ShardMeta{}, err
 	}
-	if lo < 0 || hi > len(b.plan) || lo >= hi {
-		return nil, ShardMeta{}, fmt.Errorf("gefin: shard [%d,%d) out of plan range [0,%d)", lo, hi, len(b.plan))
+	if err := res.miss.err(spec.Name); err != nil {
+		return nil, ShardMeta{}, err
 	}
-	execCfg := r.cfg
-	if r.cfg.PruneVerify || r.cfg.DedupVerify {
-		execCfg.Provenance = true
+	outs := make([]ShardOutcome, len(res.outcomes))
+	for k, o := range res.outcomes {
+		outs[k] = ShardOutcome{Class: o.class, Valid: o.valid, Kernel: o.kernel}
+		switch res.via[k] {
+		case viaPredicted:
+			outs[k].Predicted, outs[k].Mechanism = true, w.pp.preds[lo+k].Mech.String()
+		case viaDeduped:
+			outs[k].Dedup = true
+		}
 	}
-	var outs []ShardOutcome
-	var shardErr error
-	harness.Phased("shard-execution", func() { outs, shardErr = r.runRange(spec, b, execCfg, lo, hi) })
-	if shardErr != nil {
-		return nil, ShardMeta{}, shardErr
+	meta := ShardMeta{
+		GoldenCycles: w.wb.Golden.Cycles,
+		GoldenInstrs: w.wb.Golden.Instructions,
+		SizeBits:     append([]uint64(nil), w.sizes...),
 	}
-	return outs, r.meta(b), nil
-}
-
-// repOutcome records a shard-local class representative: the first
-// simulated member of a class inside the shard's plan range.
-type repOutcome struct {
-	slot int
-	o    outcome
-}
-
-// runRange executes plan slots [lo, hi) — the profiled shard-execution
-// phase of RunShard.
-func (r *ShardRunner) runRange(spec bench.Spec, b *shardBench, execCfg Config, lo, hi int) ([]ShardOutcome, error) {
-	var reps map[int]repOutcome
-	outs := make([]ShardOutcome, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		// Pre-filter: a decided slot resolves to its predicted outcome
-		// without touching the simulator (in shadow mode it simulates too,
-		// and a disagreement fails the shard so the coordinator surfaces it).
-		if b.pp != nil && b.pp.decided[i] && !r.cfg.PruneVerify {
-			pred := b.pp.preds[i]
-			b.pp.emit(r.cfg, b.wb, spec.Name, i, b.plan[i], r.Worker, r.Ctx)
-			outs = append(outs, ShardOutcome{
-				Class: pred.Class, Valid: pred.Valid, Kernel: pred.Kernel,
-				Predicted: true, Mechanism: pred.Mech.String(),
-			})
-			continue
-		}
-		// Deduplication: a later member of a class whose representative
-		// already simulated in this range materializes its outcome.
-		ci := -1
-		if b.dd != nil {
-			ci = b.dd.classOf[i]
-		}
-		if ci >= 0 && !r.cfg.DedupVerify {
-			if rep, ok := reps[ci]; ok {
-				b.dd.emit(r.cfg, spec.Name, b.plan[i], rep.o, r.Worker, r.Ctx)
-				outs = append(outs, ShardOutcome{Class: rep.o.class, Valid: rep.o.valid, Kernel: rep.o.kernel, Dedup: true})
-				continue
-			}
-		}
-		o := execPlanned(execCfg, b.wb, spec.Name, b.probe, b.plan[i], r.Worker, r.Ctx)
-		if b.pp != nil && r.cfg.PruneVerify && b.pp.decided[i] {
-			if msg := pruneMismatch(b.plan[i], b.pp.preds[i], o); msg != "" {
-				return nil, fmt.Errorf("gefin: prune-verify: prediction disagrees with simulation on %s: %s", spec.Name, msg)
-			}
-		}
-		if ci >= 0 {
-			if rep, ok := reps[ci]; ok {
-				// Shadow mode (the representative path above is bypassed):
-				// compare the member's simulation against its shard-local
-				// representative and fail the shard on disagreement.
-				if msg := dedupMismatch(b.plan[i], b.plan[rep.slot], rep.o, o); msg != "" {
-					return nil, fmt.Errorf("gefin: dedup-verify: materialized verdict disagrees with simulation on %s: %s", spec.Name, msg)
-				}
-			} else {
-				if reps == nil {
-					reps = make(map[int]repOutcome)
-				}
-				reps[ci] = repOutcome{slot: i, o: o}
-			}
-		}
-		outs = append(outs, ShardOutcome{Class: o.class, Valid: o.valid, Kernel: o.kernel})
-	}
-	return outs, nil
-}
-
-func (r *ShardRunner) meta(b *shardBench) ShardMeta {
-	return ShardMeta{
-		GoldenCycles: b.wb.Golden.Cycles,
-		GoldenInstrs: b.wb.Golden.Instructions,
-		SizeBits:     append([]uint64(nil), b.sizes...),
-	}
+	return outs, meta, nil
 }
 
 // Release drops the cached workbench of a finished workload (or all of
 // them for the empty string), freeing its simulated DRAM and ladder.
 func (r *ShardRunner) Release(workload string) {
 	if workload == "" {
-		r.benches = make(map[string]*shardBench)
+		r.benches = make(map[string]*prepared)
 		return
 	}
 	delete(r.benches, workload)
+}
+
+// shardSplits derives a workload's prune and dedup splits from its
+// assembled shard outcomes, through the same per-slot derivation as the
+// in-process summaries. Verified stays zero: a shard that returned at
+// all passed its verification.
+func shardSplits(outs []ShardOutcome) (PruneSummary, DedupSummary) {
+	via := make([]slotVia, len(outs))
+	for k, o := range outs {
+		switch {
+		case o.Predicted:
+			via[k] = viaPredicted
+		case o.Dedup:
+			via[k] = viaDeduped
+		}
+	}
+	return splits(via, func(k int) string { return outs[k].Mechanism }, nil)
 }
 
 // ShardPruneSummary derives a workload's predicted/simulated split from
@@ -248,16 +170,8 @@ func (r *ShardRunner) Release(workload string) {
 // rides inside WorkloadResult, which stays byte-identical with pruning on
 // or off.
 func ShardPruneSummary(outs []ShardOutcome) *PruneSummary {
-	s := &PruneSummary{ByMechanism: make(map[string]int)}
-	for _, o := range outs {
-		if o.Predicted {
-			s.Predicted++
-			s.ByMechanism[o.Mechanism]++
-		} else {
-			s.Simulated++
-		}
-	}
-	return s
+	ps, _ := shardSplits(outs)
+	return &ps
 }
 
 // MergePruneSummaries folds per-workload splits into one campaign-level
@@ -281,16 +195,8 @@ func MergePruneSummaries(parts []*PruneSummary) *PruneSummary {
 // statistics stay zero: shards elect local representatives, so per-shard
 // class tables do not reassemble into one global partition.
 func ShardDedupSummary(outs []ShardOutcome) *DedupSummary {
-	s := &DedupSummary{}
-	for _, o := range outs {
-		switch {
-		case o.Dedup:
-			s.Deduped++
-		case !o.Predicted:
-			s.Simulated++
-		}
-	}
-	return s
+	_, ds := shardSplits(outs)
+	return &ds
 }
 
 // MergeDedupSummaries folds per-workload splits into one campaign-level

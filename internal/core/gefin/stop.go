@@ -60,7 +60,7 @@ type StopSummary struct {
 	Planned  int `json:"planned"`
 	Executed int `json:"executed"`
 	Saved    int `json:"saved"`
-	// Shadow marks a run that executed the full plan (Config.StopShadow)
+	// Shadow marks a run that executed the full plan (Config.Verify)
 	// while computing the same cuts — the cross-check mode CI diffs
 	// against a genuinely stopped run.
 	Shadow     bool            `json:"shadow,omitempty"`
@@ -126,7 +126,7 @@ func newStopController(cfg Config, workload string, planLen int, tc obs.TraceCon
 		rule:     rule,
 		every:    every,
 		perComp:  cfg.FaultsPerComponent,
-		shadow:   cfg.StopShadow,
+		shadow:   cfg.Verify,
 		workload: workload,
 		comps:    cfg.Components,
 		ob:       cfg.Obs,

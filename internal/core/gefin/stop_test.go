@@ -71,7 +71,7 @@ func TestStopMatchesShadowPrefix(t *testing.T) {
 	}
 	stopped := stopConfig()
 	shadow := stopConfig()
-	shadow.StopShadow = true
+	shadow.Verify = true
 	shadow.Workers = 3
 	a, err := Run(stopped, []bench.Spec{spec}, nil)
 	if err != nil {

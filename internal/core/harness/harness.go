@@ -128,6 +128,7 @@ func (w *Workbench) Clone() (*Workbench, error) {
 	if err := m.Boot(BootBudget); err != nil {
 		return nil, fmt.Errorf("harness: clone: %w", err)
 	}
+	m.VerifyConvergence = w.Machine.VerifyConvergence
 	return &Workbench{
 		Machine:  m,
 		Built:    w.Built,

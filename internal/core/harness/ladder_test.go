@@ -124,3 +124,30 @@ func TestCloneSharesLadder(t *testing.T) {
 		t.Fatalf("clone ladder run diverged: %v vs %v", cls, ccls)
 	}
 }
+
+// TestLadderHighBitCollisionReproducer pins a false golden convergence
+// the ladder once returned. The fault corrupts a word that the workload
+// then copies into a second dirty L1D line; at a later rung both lines
+// differ from golden in the same high bit, which the old fingerprint —
+// whose multiply steps only carried differences upward — cancelled, so
+// the run exited early as Masked while a plain replay reports an SDC.
+// The ladder run must classify exactly like the plain one.
+func TestLadderHighBitCollisionReproducer(t *testing.T) {
+	wb, err := New(soc.PresetModel(), soc.ModelDetailed, newBench(t, "qsort"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := wb.Clone() // cloned before BuildLadder: stays ladder-free
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wb.BuildLadder(soc.DefaultCheckpointEvery, soc.DefaultMaxCheckpoints, false); err != nil {
+		t.Fatal(err)
+	}
+	f := fault.Fault{Comp: fault.CompL1D, Bit: 119934, Cycle: 59008}
+	want := ref.RunFault(f)
+	got := wb.RunFault(f)
+	if got != want {
+		t.Fatalf("ladder run classified %v, plain replay %v", got, want)
+	}
+}

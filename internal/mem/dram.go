@@ -21,10 +21,10 @@ import (
 type DRAM struct {
 	data []byte
 
-	// Dirty-page tracking for RestoreDelta: once a restore establishes a
-	// tracked base image, every write marks its 4 KiB pages, and the next
-	// restore against the same base copies back only the marked pages
-	// instead of the whole image. trackedBase identifies the base by its
+	// Dirty-page tracking for Rebase and RestorePages: once a restore
+	// establishes a tracked base image, every write marks its 4 KiB pages,
+	// and the next restore against the same base copies back only the
+	// marked pages instead of the whole image. trackedBase identifies the base by its
 	// backing array; nil means no tracking is active.
 	dirty       []uint64
 	trackedBase *byte
@@ -32,7 +32,7 @@ type DRAM struct {
 	// lastImg is the copy-on-write page image last applied by RestorePages.
 	// While set, the tracking invariant generalises to: every page not
 	// marked dirty equals lastImg's payload for that page, or the base page
-	// where lastImg carries none. RestoreDelta reverts to plain tracking.
+	// where lastImg carries none. Rebase reverts to plain tracking.
 	lastImg *PageImage
 
 	// Propagation provenance taint: the byte a dirty writeback deposited
@@ -46,7 +46,7 @@ type DRAM struct {
 const pageShift = 12
 
 // markDirty records that [addr, addr+n) has been written. A no-op until
-// RestoreDelta starts tracking; every DRAM mutation path must call it.
+// a restore starts tracking; every DRAM mutation path must call it.
 func (d *DRAM) markDirty(addr, n uint32) {
 	if d.trackedBase == nil || n == 0 {
 		return

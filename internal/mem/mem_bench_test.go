@@ -98,12 +98,12 @@ func itoa(n int) string {
 
 // BenchmarkConvergedPages compares the rung-crossing DRAM check over a
 // 4 MiB image: incremental dirty-page hashing (a handful of touched
-// pages) against the exact full-image span comparison.
+// pages) against the exact full-image comparison.
 func BenchmarkConvergedPages(b *testing.B) {
 	dram := NewDRAM(4 << 20)
 	base := make([]byte, dram.Size())
 	basePF := HashPages(base, nil)
-	dram.RestoreDelta(base, &Delta{})
+	dram.Rebase(base)
 	line := make([]byte, 32)
 	for i := range line {
 		line[i] = byte(i)
@@ -112,9 +112,9 @@ func BenchmarkConvergedPages(b *testing.B) {
 	for p := uint32(0); p < 16; p++ {
 		dram.WriteLine(p*PageBytes+64, line)
 	}
-	golden := dram.DiffAgainst(base)
 	goldenPF := dram.HashPages(nil)
 	diffPages := DiffPageBitmap(basePF, goldenPF)
+	golden := dram.BuildPageImage(base, goldenPF, diffPages, nil)
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if !dram.ConvergedPages(diffPages, goldenPF) {
@@ -124,7 +124,7 @@ func BenchmarkConvergedPages(b *testing.B) {
 	})
 	b.Run("full-image", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !dram.EqualBaseDelta(base, golden) {
+			if !dram.EqualBasePages(base, golden) {
 				b.Fatal("must converge to own content")
 			}
 		}

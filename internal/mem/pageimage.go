@@ -134,13 +134,7 @@ func (d *DRAM) RestorePages(base []byte, img *PageImage) {
 		}
 	}
 	if d.trackedBase != &base[0] {
-		copy(d.data, base)
-		if d.dirty == nil {
-			d.dirty = make([]uint64, (len(d.data)>>pageShift+63)/64)
-		} else {
-			clear(d.dirty)
-		}
-		d.trackedBase = &base[0]
+		d.startTracking(base)
 		for i, p := range img.idx {
 			start := int(p) << pageShift
 			copy(d.data[start:], img.data[i])
@@ -210,6 +204,50 @@ func (d *DRAM) RestorePages(base []byte, img *PageImage) {
 		}
 	}
 	d.lastImg = img
+}
+
+// startTracking copies base over the whole image and starts plain
+// dirty-page tracking against it: no page dirty, no image applied.
+func (d *DRAM) startTracking(base []byte) {
+	copy(d.data, base)
+	if d.dirty == nil {
+		d.dirty = make([]uint64, (len(d.data)>>pageShift+63)/64)
+	} else {
+		clear(d.dirty)
+	}
+	d.trackedBase = &base[0]
+	d.lastImg = nil
+}
+
+// Rebase sets the DRAM's content to base and leaves plain dirty-page
+// tracking armed against it, so later page-image captures and convergence
+// checks touch only the pages written from here on. The first call
+// against a base copies the full image; later calls copy back only the
+// dirtied pages and the pages of the image RestorePages last applied.
+func (d *DRAM) Rebase(base []byte) {
+	if d.trackedBase != &base[0] {
+		d.startTracking(base)
+		return
+	}
+	revert := func(p int) {
+		start := p << pageShift
+		end := min(start+PageBytes, len(d.data))
+		copy(d.data[start:end], base[start:end])
+	}
+	if last := d.lastImg; last != nil {
+		for _, p := range last.idx {
+			revert(int(p))
+		}
+		d.lastImg = nil
+	}
+	for i, w := range d.dirty {
+		d.dirty[i] = 0
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &^= 1 << b
+			revert(i<<6 + b)
+		}
+	}
 }
 
 // EqualBasePages reports whether the DRAM's current content equals base

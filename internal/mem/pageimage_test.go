@@ -36,14 +36,7 @@ func TestRestorePagesBitIdentity(t *testing.T) {
 	scribble(dram, rng, 60)
 	imgB := captureImage(dram, base, basePF, imgA)
 
-	want := func(img *PageImage) []byte {
-		out := append([]byte(nil), base...)
-		for i, p := range img.idx {
-			copy(out[int(p)<<pageShift:], img.data[i])
-		}
-		return out
-	}
-	wantA, wantB := want(imgA), want(imgB)
+	wantA, wantB := withImage(base, imgA), withImage(base, imgB)
 
 	// Cold restore, same-image re-restores, and image switches, each with
 	// writes in between so the dirty overlay has work to do.
@@ -72,10 +65,11 @@ func TestRestorePagesBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRestorePagesThenDelta pins the transition back to plain delta
-// tracking: RestoreDelta after a RestorePages must revert the image's
-// pages too, not just the dirty ones.
-func TestRestorePagesThenDelta(t *testing.T) {
+// TestRestorePagesThenRebase pins the transition from copy-on-write
+// image tracking back to plain tracking: Rebase after a RestorePages
+// must revert the image's pages too, not just the dirty ones, and a
+// later RestorePages must again leave exactly base+image behind.
+func TestRestorePagesThenRebase(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	dram := NewDRAM(1 << 18)
 	scribble(dram, rng, 100)
@@ -84,21 +78,17 @@ func TestRestorePagesThenDelta(t *testing.T) {
 
 	scribble(dram, rng, 50)
 	img := captureImage(dram, base, basePF, nil)
-	delta := dram.DiffAgainst(base)
 
 	dram.RestorePages(base, img)
 	scribble(dram, rng, 20)
-	// Back to delta restoration against the same base: the result must be
-	// base+delta even though lastImg's pages were in place.
-	dram.RestoreDelta(base, &Delta{})
+	dram.Rebase(base)
 	if !bytes.Equal(dram.data, base) {
-		t.Fatal("empty-delta restore after RestorePages left image pages behind")
+		t.Fatal("rebase after RestorePages left image pages behind")
 	}
-	dram.RestoreDelta(base, delta)
-	wantImg := append([]byte(nil), base...)
-	delta.Apply(wantImg)
-	if !bytes.Equal(dram.data, wantImg) {
-		t.Fatal("delta restore after RestorePages diverges from base+delta")
+	scribble(dram, rng, 20)
+	dram.RestorePages(base, img)
+	if !bytes.Equal(dram.data, withImage(base, img)) {
+		t.Fatal("image restore after Rebase diverges from base+image")
 	}
 }
 

@@ -190,9 +190,6 @@ func PruneSplit(s *gefin.PruneSummary) string {
 		Header: []string{"Verdict", "Count", "Share"},
 	}
 	total := s.Predicted + s.Simulated
-	if s.Verified > 0 {
-		total = s.Simulated
-	}
 	pct := func(n int) string {
 		if total == 0 {
 			return "-"
@@ -225,9 +222,6 @@ func DedupSplit(s *gefin.DedupSummary) string {
 		Header: []string{"Verdict", "Count", "Share"},
 	}
 	total := s.Deduped + s.Simulated
-	if s.Verified > 0 {
-		total = s.Simulated
-	}
 	pct := func(n int) string {
 		if total == 0 {
 			return "-"

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"armsefi/internal/core/beam"
 	"armsefi/internal/core/fault"
 	"armsefi/internal/core/gefin"
+	"armsefi/internal/soc"
 )
 
 // killSource wraps a Source and cancels a context after n completions —
@@ -212,6 +214,84 @@ func TestDedupServiceDeterminism(t *testing.T) {
 	}
 	if s := assembled.Dedup; s.Deduped == 0 || s.Deduped+s.Simulated != gefin.PlanLen(dcfg) {
 		t.Fatalf("assembled dedup split %d/%d over plan %d", s.Deduped, s.Simulated, gefin.PlanLen(dcfg))
+	}
+}
+
+// TestPruneDedupServiceSplits pins the coordinator's assembled prune and
+// dedup splits to the in-process engine's: with the pre-filter and
+// deduplication both on, a one-shard remote campaign (whose shard-local
+// classes equal the campaign's) must report exactly the in-process
+// predicted, deduplicated and simulated counts — simulated meaning
+// neither predicted nor deduplicated on both paths.
+func TestPruneDedupServiceSplits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real injection campaigns")
+	}
+	// A DTLB plan whose undecided remainder still collides into classes.
+	cfg := gefin.Config{
+		Seed:               7,
+		FaultsPerComponent: 300,
+		Components:         []fault.Component{fault.CompDTLB},
+		Workers:            1,
+		CheckpointEvery:    soc.DefaultCheckpointEvery,
+		Prune:              true,
+		Dedup:              true,
+	}
+	spec, _ := bench.ByName("crc32")
+	local, err := gefin.Run(cfg, []bench.Spec{spec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Prune.Predicted == 0 || local.Dedup.Deduped == 0 {
+		t.Fatalf("plan exercises neither fast path fully: prune %+v dedup %+v", *local.Prune, *local.Dedup)
+	}
+
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCoordinator(CoordConfig{Store: store, LeaseTTL: time.Hour, Now: newFakeClock().Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := BuildManifest(KindInjection, &cfg, nil, []string{"crc32"}, gefin.PlanLen(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for {
+			if s, err := c.Status(id); err == nil && s.State == StateComplete {
+				cancel()
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
+	if _, err := RunWorker(ctx, WorkerConfig{Node: "n", Source: c, PollInterval: 10 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Results(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := res.(*gefin.Result)
+	lj, _ := json.Marshal(local.Workloads)
+	rj, _ := json.Marshal(remote.Workloads)
+	if string(lj) != string(rj) {
+		t.Fatalf("remote Workloads diverge from in-process:\n local  %s\n remote %s", lj, rj)
+	}
+	if got, want := *remote.Prune, *local.Prune; got.Predicted != want.Predicted || got.Simulated != want.Simulated ||
+		!reflect.DeepEqual(got.ByMechanism, want.ByMechanism) {
+		t.Fatalf("remote prune split %+v, in-process %+v", got, want)
+	}
+	if got, want := *remote.Dedup, *local.Dedup; got.Deduped != want.Deduped || got.Simulated != want.Simulated {
+		t.Fatalf("remote dedup split %+v, in-process %+v", got, want)
 	}
 }
 

@@ -67,11 +67,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (int, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 200 * time.Millisecond
 	}
-	// One runner cache per campaign: a runner holds prepared workbenches
-	// (boot + golden + ladder), so consecutive shards of the same
-	// campaign and workload pay no setup.
-	injRunners := make(map[string]*gefin.ShardRunner)
-	beamRunners := make(map[string]*beam.ShardRunner)
+	var rs runners
 	// One convergence tally per injection campaign: the node's cumulative
 	// per-(workload, component, class) counts over the shards it executed,
 	// emitted through the observer after each shard (the telemetry shipper
@@ -100,7 +96,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (int, error) {
 			}
 			continue
 		}
-		payload, execErr := executeShard(ctx, cfg, a, injRunners, beamRunners, injConvs)
+		payload, execErr := executeShard(ctx, cfg, a, &rs, injConvs)
 		if execErr == nil {
 			execErr = cfg.Source.Complete(cfg.Node, a.Campaign, a.Shard, a.Span, payload)
 		}
@@ -114,10 +110,28 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (int, error) {
 	}
 }
 
+// runners holds a worker loop's shard runner: one, for the campaign the
+// latest claim named. A runner caches its campaign's prepared workbenches
+// (boot, golden run, ladder, liveness log — hundreds of megabytes), so
+// consecutive shards of the campaign pay no setup, and the loop drops it
+// as soon as a claim names another campaign. A requeued shard of an
+// earlier campaign then prepares its workbench again.
+type runners struct {
+	campaign string
+	inj      *gefin.ShardRunner
+	beam     *beam.ShardRunner
+}
+
+// use switches the holder to campaign, dropping another campaign's runner.
+func (rs *runners) use(campaign string) {
+	if rs.campaign != campaign {
+		*rs = runners{campaign: campaign}
+	}
+}
+
 // executeShard runs one assignment, renewing the lease at a third of its
 // TTL while the simulated machine works.
-func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
-	injRunners map[string]*gefin.ShardRunner, beamRunners map[string]*beam.ShardRunner,
+func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment, rs *runners,
 	injConvs map[string]*injConvTally) (*ShardPayload, error) {
 
 	spec, ok := bench.ByName(a.Workload)
@@ -137,8 +151,9 @@ func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
 		if a.Injection == nil {
 			return nil, fmt.Errorf("injection assignment without config")
 		}
-		r, ok := injRunners[a.Campaign]
-		if !ok {
+		rs.use(a.Campaign)
+		r := rs.inj
+		if r == nil {
 			// Copy the config before attaching the worker's observer: the
 			// assignment may share the coordinator's manifest pointer when
 			// the source is in-process.
@@ -146,7 +161,7 @@ func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
 			cc.Obs = cfg.Obs
 			r = gefin.NewShardRunner(cc)
 			r.Worker = cfg.Worker
-			injRunners[a.Campaign] = r
+			rs.inj = r
 		}
 		r.Ctx = tc
 		outs, meta, err := r.RunShard(spec, a.Lo, a.Hi)
@@ -166,8 +181,9 @@ func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
 		if a.Beam == nil {
 			return nil, fmt.Errorf("beam assignment without config")
 		}
-		r, ok := beamRunners[a.Campaign]
-		if !ok {
+		rs.use(a.Campaign)
+		r := rs.beam
+		if r == nil {
 			cc := *a.Beam
 			cc.Obs = cfg.Obs
 			r = beam.NewShardRunner(cc)
@@ -177,7 +193,7 @@ func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
 				// registry; the observer's records carry them to the shipper.
 				r.Conv = obs.NewConvRegistry(convRule(cc.TargetMargin, cc.Confidence))
 			}
-			beamRunners[a.Campaign] = r
+			rs.beam = r
 		}
 		r.Ctx = tc
 		chain, meta, err := r.RunShard(spec, a.Lo)

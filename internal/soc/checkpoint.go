@@ -19,21 +19,11 @@
 package soc
 
 import (
-	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"armsefi/internal/cpu"
 	"armsefi/internal/mem"
 )
-
-// LadderDebugCompare, when set, makes every incremental dirty-page DRAM
-// convergence check also run the exact full-image base+delta comparison
-// and panic on disagreement. It exists to cross-check the fast path (a
-// disagreement means either a dirty-tracking invariant was broken or a
-// page-fingerprint collision occurred) and costs a full DRAM memcmp per
-// rung crossing, so it stays off outside tests and debugging sessions.
-var LadderDebugCompare atomic.Bool
 
 // Checkpoint is one ladder rung: the complete machine state at a cycle
 // boundary of the golden run, with DRAM stored as an immutable
@@ -114,6 +104,12 @@ type LadderStats struct {
 	// ConvergedAt is the cycle of the rung where the early exit fired
 	// (zero when the run never converged back onto the golden ladder).
 	ConvergedAt uint64
+	// VerifyMismatches counts the rung crossings where the incremental
+	// dirty-page DRAM comparison disagreed with the exact full-image one
+	// (Machine.VerifyConvergence runs only). Either a dirty-tracking
+	// invariant broke or a page fingerprint collided; the campaign
+	// engines fail the campaign on any.
+	VerifyMismatches int
 }
 
 // Warm reports which restore mode the ladder was captured under.
@@ -312,9 +308,9 @@ func (m *Machine) CaptureLadder(base *Snapshot, warm bool, every uint64, max int
 	// Arm dirty-page tracking for the replay: captures then hash and diff
 	// only the pages the run has written (an exact, byte-level invariant —
 	// unmarked pages equal the base image RestoreSnapshot just loaded).
-	// RestoreDelta with an empty delta is the canonical way to (re)base
-	// the tracker; injection runs keep it armed via RestoreCheckpoint.
-	m.DRAM.RestoreDelta(base.dram, &mem.Delta{})
+	// Rebase (re)arms the tracker on the base image; injection runs keep
+	// it armed via RestoreCheckpoint.
+	m.DRAM.Rebase(base.dram)
 
 	uartBase := len(base.uart)
 	beatsBase := base.sysctl.s.beats
@@ -373,20 +369,17 @@ func (m *Machine) CaptureLadder(base *Snapshot, warm bool, every uint64, max int
 // the case after RestoreCheckpoint), only the pages written since the
 // last restore are compared — via the rung's precomputed per-page golden
 // fingerprints — instead of memcmp-ing the full image; the exact
-// full-image comparison remains as the fallback and as the
-// LadderDebugCompare cross-check.
-func (m *Machine) dramConverged(l *Ladder, r *Checkpoint) bool {
+// full-image comparison remains as the fallback. With VerifyConvergence
+// set, every incremental verdict is also checked against the exact one
+// and a disagreement is counted in stats; the incremental verdict still
+// decides, so a verified run takes exactly the path of a plain one.
+func (m *Machine) dramConverged(l *Ladder, r *Checkpoint, stats *LadderStats) bool {
 	if !m.DRAM.Tracking(l.base.dram) {
 		return m.DRAM.EqualBasePages(l.base.dram, r.img)
 	}
 	inc := m.DRAM.ConvergedPages(r.diffPages, r.pageFP)
-	if LadderDebugCompare.Load() {
-		full := m.DRAM.EqualBasePages(l.base.dram, r.img)
-		if inc != full {
-			panic(fmt.Sprintf(
-				"soc: incremental DRAM convergence (%v) disagrees with full comparison (%v) at rung cycle %d",
-				inc, full, r.Cycle))
-		}
+	if m.VerifyConvergence && inc != m.DRAM.EqualBasePages(l.base.dram, r.img) {
+		stats.VerifyMismatches++
 	}
 	return inc
 }
@@ -440,9 +433,9 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 				// Staged convergence check: the cheap non-DRAM fingerprint
 				// first (a diverged run almost always differs there), then
 				// the DRAM comparison — incremental over dirty pages when
-				// tracking is active, exact base+delta memcmp otherwise.
+				// tracking is active, exact base+image memcmp otherwise.
 				if lastBeatAbs == r.lastBeatAbs && m.microFPSum() == r.microFP &&
-					m.dramConverged(l, r) {
+					m.dramConverged(l, r, &stats) {
 					stats.EarlyExit = true
 					stats.TailSaved = l.Final.Cycles - abs
 					stats.ConvergedAt = abs

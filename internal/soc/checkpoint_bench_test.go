@@ -45,7 +45,7 @@ func BenchmarkRungConvergence(b *testing.B) {
 	}
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if m.microFPSum() != r.microFP || !m.dramConverged(l, r) {
+			if m.microFPSum() != r.microFP || !m.dramConverged(l, r, &LadderStats{}) {
 				b.Fatal("restored rung must converge to itself")
 			}
 		}

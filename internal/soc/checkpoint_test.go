@@ -203,40 +203,41 @@ func TestCaptureLadderMaxCheckpoints(t *testing.T) {
 	}
 }
 
-// TestLadderDebugCrossCheckAgrees runs ladder injections with the debug
-// cross-check enabled: every incremental dirty-page convergence verdict
-// is compared against the exact full-image comparison and panics on
-// disagreement, so simply completing the spread — with results still
-// bit-identical to full replays — proves the fast path agrees with the
-// exact one at every rung crossing.
+// TestLadderDebugCrossCheckAgrees runs ladder injections with the
+// convergence cross-check enabled (Machine.VerifyConvergence): every
+// incremental dirty-page convergence verdict is compared against the
+// exact full-image comparison, so zero counted mismatches — with results
+// still bit-identical to full replays — proves the fast path agrees with
+// the exact one at every rung crossing.
 func TestLadderDebugCrossCheckAgrees(t *testing.T) {
-	LadderDebugCompare.Store(true)
-	t.Cleanup(func() { LadderDebugCompare.Store(false) })
 	for _, model := range []ModelKind{ModelAtomic, ModelDetailed} {
 		m, snap, l := captureLadder(t, model, false, 2_000)
+		m.VerifyConvergence = true
 		watchdog := 2*l.Final.Cycles + 1_000_000
 		for _, frac := range []uint64{0, 9, 21, 42, 63} {
 			at := l.Final.Cycles * frac / 64
 			bit := (frac*977 + 13) % m.Core().RegFileBits()
 			m.RestoreSnapshot(snap, false)
 			want := m.RunWithInjection(watchdog, at, func() { m.Core().FlipRegFileBit(bit) })
-			got, _ := m.RunLadderInjection(l, watchdog, at, func() { m.Core().FlipRegFileBit(bit) })
+			got, stats := m.RunLadderInjection(l, watchdog, at, func() { m.Core().FlipRegFileBit(bit) })
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v at=%d bit=%d: debug-checked ladder %+v != full %+v",
+				t.Errorf("%v at=%d bit=%d: cross-checked ladder %+v != full %+v",
 					model, at, bit, got, want)
+			}
+			if stats.VerifyMismatches != 0 {
+				t.Errorf("%v at=%d bit=%d: %d convergence mismatches", model, at, bit, stats.VerifyMismatches)
 			}
 		}
 	}
 }
 
-// TestLadderDebugCrossCheckPanicsOnDisagreement seeds a disagreement —
-// a corrupted per-page fingerprint (with its diffPages bit set so the
+// TestLadderDebugCrossCheckCountsDisagreement seeds a disagreement — a
+// corrupted per-page fingerprint (with its diffPages bit set so the
 // check visits it) for a page the workload never touches, making the
 // incremental verdict false while the exact comparison still sees a
-// converged machine — and requires the debug cross-check to panic.
-func TestLadderDebugCrossCheckPanicsOnDisagreement(t *testing.T) {
-	LadderDebugCompare.Store(true)
-	t.Cleanup(func() { LadderDebugCompare.Store(false) })
+// converged machine — and requires the cross-check to count it rather
+// than panic, while the run itself still follows the incremental verdict.
+func TestLadderDebugCrossCheckCountsDisagreement(t *testing.T) {
 	m, _, l := captureLadder(t, ModelAtomic, false, 2_000)
 	watchdog := 2*l.Final.Cycles + 1_000_000
 	at := l.Final.Cycles / 3
@@ -250,13 +251,22 @@ func TestLadderDebugCrossCheckPanicsOnDisagreement(t *testing.T) {
 			r.pageFP[last] ^= 0xDEADBEEF
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("corrupted rung metadata did not trip the debug cross-check")
-		}
-	}()
-	m.RunLadderInjection(l, watchdog, at, func() {
+	// A fault that cancels itself: the run is golden from the injection on.
+	inject := func() {
 		m.Core().FlipRegFileBit(40)
 		m.Core().FlipRegFileBit(40)
-	})
+	}
+	_, plain := m.RunLadderInjection(l, watchdog, at, inject)
+	if plain.VerifyMismatches != 0 {
+		t.Fatalf("unverified run counted %d mismatches", plain.VerifyMismatches)
+	}
+	m.VerifyConvergence = true
+	res, stats := m.RunLadderInjection(l, watchdog, at, inject)
+	if stats.VerifyMismatches == 0 {
+		t.Fatal("corrupted rung metadata did not trip the cross-check")
+	}
+	if stats.EarlyExit != plain.EarlyExit || res.Cycles != l.Final.Cycles {
+		t.Fatalf("verified run changed the run: early exit %v vs %v, cycles %d vs %d",
+			stats.EarlyExit, plain.EarlyExit, res.Cycles, l.Final.Cycles)
+	}
 }

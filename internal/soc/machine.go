@@ -96,6 +96,12 @@ type Machine struct {
 	SysCtl *SysCtl
 	Kernel *asm.Program
 
+	// VerifyConvergence makes every incremental DRAM convergence check of
+	// a ladder run also run the exact full-image comparison, counting
+	// disagreements in LadderStats.VerifyMismatches. It costs a full DRAM
+	// compare per rung crossing, so only verification runs set it.
+	VerifyConvergence bool
+
 	core archCore
 	app  *asm.Program
 }
