@@ -27,7 +27,8 @@
 // carry masking-mechanism verdicts even without -prov, are verified to
 // be consistent (masked class, masking mechanism, bounded by the masked
 // outcome count), and the trace's predicted/simulated split is
-// cross-checked against the assembled Result's prune summary.
+// cross-checked against the assembled Result's prune summary. Every
+// record carrying a hang proof (hang_proof) must have timed out.
 package main
 
 import (
@@ -110,7 +111,7 @@ func run() error {
 	if !*quiet {
 		printSummary(sum)
 	}
-	failures := verifyProvenance(sum, *requireProv)
+	failures := verifyProvenance(sum, *requireProv) + verifyHangProofs(sum)
 	if client != nil {
 		failures += verifyRemote(sum, client, *campaignID)
 	}
@@ -252,6 +253,27 @@ func verifyProvenance(s *obs.Summary, require bool) int {
 	}
 	if failures == 0 && withProv > 0 {
 		fmt.Printf("OK: mechanism verdicts partition the outcome classes (%d workload x component groups)\n", withProv)
+	}
+	return failures
+}
+
+// verifyHangProofs fails every record that carries a hang proof but did
+// not time out: a proven recurrence can never power off or go fatal.
+// Returns the mismatch count.
+func verifyHangProofs(s *obs.Summary) int {
+	failures, proofs := 0, 0
+	k := s.Kind(obs.KindInjection)
+	for name, w := range k.Workloads {
+		for comp, c := range w.Components {
+			proofs += c.HangProofs
+			if c.HangProofBad > 0 {
+				fmt.Printf("MISMATCH %s/%s: %d hang-proof records did not time out\n", name, comp, c.HangProofBad)
+				failures++
+			}
+		}
+	}
+	if failures == 0 && proofs > 0 {
+		fmt.Printf("OK: %d hang-proof records all timed out\n", proofs)
 	}
 	return failures
 }

@@ -32,16 +32,17 @@ type plannedFault struct {
 // provenance mechanism verdict when one was computed (provenance or
 // Verify runs with an armed probe); aggregation ignores it. cycles and
 // outstr carry the raw run observables so a deduplicated member's trace
-// record can reproduce its representative's skeleton. convMismatches
-// counts the run's ladder convergence-check disagreements (Verify only).
+// record can reproduce its representative's skeleton. ladderMismatches
+// counts the run's ladder disagreements with the reference: convergence
+// checks and a hang proof's computed Result (Verify only).
 type outcome struct {
-	class          fault.Class
-	valid          bool
-	kernel         bool
-	mech           fault.Mechanism
-	cycles         uint64
-	outstr         string
-	convMismatches int
+	class            fault.Class
+	valid            bool
+	kernel           bool
+	mech             fault.Mechanism
+	cycles           uint64
+	outstr           string
+	ladderMismatches int
 }
 
 // sideSummaries carries one workload's optional side reports — the parts
@@ -148,7 +149,7 @@ func execPlanned(cfg Config, wb *harness.Workbench, workload string, probe *mem.
 		class, ctx, raw, ls = wb.RunFaultLadder(p.f, cfg.WarmCaches)
 	}
 	o := outcome{class: class, valid: ctx.LineValid, kernel: ctx.KernelOwned(),
-		cycles: raw.Cycles, outstr: raw.Outcome.String(), convMismatches: ls.VerifyMismatches}
+		cycles: raw.Cycles, outstr: raw.Outcome.String(), ladderMismatches: ls.VerifyMismatches}
 	if probe.Armed() {
 		o.mech = fault.MechanismOf(class, raw, probe)
 	}
@@ -171,6 +172,7 @@ func execPlanned(cfg Config, wb *harness.Workbench, workload string, probe *mem.
 		Kernel:     o.kernel,
 		FFCycles:   ls.FastForwarded,
 		EarlyExit:  ls.EarlyExit,
+		HangProof:  ls.ProvedAt,
 	}
 	if probe.Armed() {
 		cfg.Obs.Mechanism(workload, p.f.Comp, o.mech)

@@ -272,7 +272,7 @@ func (m *mismatches) note(count *int, msg string) {
 // err fails the campaign on any disagreement.
 func (m mismatches) err(workload string) error {
 	if n := m.prune + m.dedup + m.ladder; n > 0 {
-		return fmt.Errorf("gefin: verify: %d fast-path verdicts disagree with the reference on %s (%d predicted, %d deduplicated, %d ladder convergence; first: %s)",
+		return fmt.Errorf("gefin: verify: %d fast-path verdicts disagree with the reference on %s (%d predicted, %d deduplicated, %d ladder; first: %s)",
 			n, workload, m.prune, m.dedup, m.ladder, m.first)
 	}
 	return nil
@@ -281,14 +281,15 @@ func (m mismatches) err(workload string) error {
 // verify checks every fast path a Verify run shadowed: each predicted
 // slot's simulation against its prediction, each class member's against
 // its representative's, and each ladder run's incremental convergence
-// checks against the exact full-image compare.
+// checks against the exact full-image compare and its hang proof's
+// computed Result against the one simulated to the watchdog.
 func (w *prepared) verify(lo int, r *resolution, members [][]int) mismatches {
 	var m mismatches
 	for k, o := range r.outcomes {
 		p := w.plan[lo+k]
-		if o.convMismatches > 0 {
-			m.note(&m.ladder, fmt.Sprintf("%v bit=%d cycle=%d: incremental DRAM convergence disagreed with the full-image compare at %d rung crossings",
-				p.f.Comp, p.f.Bit, p.f.Cycle, o.convMismatches))
+		if o.ladderMismatches > 0 {
+			m.note(&m.ladder, fmt.Sprintf("%v bit=%d cycle=%d: %d ladder verdicts (incremental DRAM convergence, hang-proof Result) disagreed with the reference",
+				p.f.Comp, p.f.Bit, p.f.Cycle, o.ladderMismatches))
 		}
 		if r.via[k] == viaPredicted {
 			if msg := mismatch(p, "predicted", w.pp.outcome(lo+k), o); msg != "" {

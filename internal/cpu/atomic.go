@@ -104,6 +104,9 @@ func (c *Atomic) TaintRegBit(bit uint64, p *mem.Probe) {
 	p.Arm(true)
 }
 
+// Tainted reports whether the core still tracks a provenance taint.
+func (c *Atomic) Tainted() bool { return c.taintProbe != nil }
+
 // ClearRegTaint drops any tracked register taint without emitting an event.
 func (c *Atomic) ClearRegTaint() {
 	c.taintProbe = nil

@@ -415,6 +415,10 @@ func (c *Detailed) TaintRegBit(bit uint64, p *mem.Probe) {
 	p.Arm(live)
 }
 
+// Tainted reports whether the core still tracks a provenance taint: a
+// tainted register, or uops that consumed one and may yet commit.
+func (c *Detailed) Tainted() bool { return c.taintProbe != nil || c.commitProbe != nil }
+
 // ClearRegTaint drops any tracked register taint without emitting an event.
 func (c *Detailed) ClearRegTaint() {
 	c.taintProbe = nil

@@ -19,7 +19,13 @@
 // already encoded by ROB position, is observable), stall deadlines already
 // in the past, and pure memo/stat fields — so that a faulty run whose
 // live state has re-converged with the golden run fingerprints equal even
-// when dead bytes still differ.
+// when dead bytes still differ. It is also shift-invariant: the cycle and
+// instruction counters are left out (no software-visible register reads
+// them) and every deadline folds relative to the current cycle, so the
+// same core state reached at two different cycles of one run folds the
+// same — the property the hang proof's recurrence check rests on. Callers
+// that compare states at one cycle and need the instruction count equal
+// (golden convergence) compare it themselves.
 
 package cpu
 
@@ -88,8 +94,6 @@ func (c *Atomic) LoadMicro(ms *MicroState) {
 
 // HashMicro folds the atomic core's live state into h.
 func (c *Atomic) HashMicro(h *mem.Hasher) {
-	h.Word(c.cycles)
-	h.Word(c.instrs)
 	h.Word32(c.pc)
 	for _, v := range c.regs {
 		h.Word32(v)
@@ -286,13 +290,12 @@ func (c *Detailed) LoadMicro(ms *MicroState) {
 // or non-semantic: values of free physical registers (alloc clears ready
 // and writeback stores before any read), values of allocated-but-unready
 // registers (writeback overwrites them), uop sequence numbers (ROB order
-// already encodes the only observable property), stall deadlines that
-// have already expired (normalised to zero so two different stale values
-// compare equal), the uop pool, the decode memo, and the branch/squash
-// statistics counters.
+// already encodes the only observable property), the cycle and
+// instruction counters, the uop pool, the decode memo, and the
+// branch/squash statistics counters. Deadlines (stalls, functional-unit
+// occupancy, uop completion) are only ever compared against the current
+// cycle, so they fold as cycles remaining, with expired ones as zero.
 func (c *Detailed) HashMicro(h *mem.Hasher) {
-	h.Word(c.cycle)
-	h.Word(c.instrs)
 	h.Word32(c.commitPC)
 	h.Word(uint64(c.mode))
 	h.Bool(c.irqOff)
@@ -340,18 +343,18 @@ func (c *Detailed) HashMicro(h *mem.Hasher) {
 		}
 	}
 	h.Word32(c.fetchPC)
-	h.Word(expired(c.fetchStall, c.cycle))
+	h.Word(remaining(c.fetchStall, c.cycle))
 	h.Bool(c.fetchHalt)
 	h.Bool(c.serializeBlock)
-	h.Word(expired(c.commitStall, c.cycle))
+	h.Word(remaining(c.commitStall, c.cycle))
 	nfq := c.fetchQ.len()
 	h.Word(uint64(nfq))
 	for i := 0; i < nfq; i++ {
-		hashUop(h, c.fetchQ.at(i))
+		hashUop(h, c.fetchQ.at(i), c.cycle)
 	}
 	h.Word(uint64(c.rob.len()))
 	for i, n := 0, c.rob.len(); i < n; i++ {
-		hashUop(h, c.rob.at(i))
+		hashUop(h, c.rob.at(i), c.cycle)
 	}
 	// Issue-queue and executing membership by position: which ROB entries
 	// are still waiting vs in flight is timing-live state. The positions
@@ -366,7 +369,7 @@ func (c *Detailed) HashMicro(h *mem.Hasher) {
 		h.Word(uint64(nfq + c.robIndex(u)))
 	}
 	for i := range c.fus {
-		h.Word(expired(c.fus[i].busyUntil, c.cycle))
+		h.Word(remaining(c.fus[i].busyUntil, c.cycle))
 	}
 	h.Bytes(c.predictor)
 	for _, e := range c.btb {
@@ -376,19 +379,21 @@ func (c *Detailed) HashMicro(h *mem.Hasher) {
 	}
 }
 
-// expired normalises an absolute cycle deadline: deadlines at or before
-// now no longer gate anything, so all of them hash as zero.
-func expired(deadline, now uint64) uint64 {
+// remaining normalises an absolute cycle deadline to the cycles left
+// until it: deadlines at or before now no longer gate anything, so all of
+// them hash as zero.
+func remaining(deadline, now uint64) uint64 {
 	if deadline <= now {
 		return 0
 	}
-	return deadline
+	return deadline - now
 }
 
-// hashUop folds one in-flight uop. All fields except seq are hashed: uops
-// are zeroed at allocation, so unwritten fields are deterministically
-// zero, and the conditionally-written ones are exactly the live payload.
-func hashUop(h *mem.Hasher, u *uop) {
+// hashUop folds one in-flight uop. All fields except seq are hashed, the
+// completion cycle relative to now: uops are zeroed at allocation, so
+// unwritten fields are deterministically zero, and the
+// conditionally-written ones are exactly the live payload.
+func hashUop(h *mem.Hasher, u *uop, now uint64) {
 	h.Word32(u.in.Encode())
 	h.Word32(u.pc)
 	h.Word(uint64(int64(u.srcRn)))
@@ -400,7 +405,7 @@ func hashUop(h *mem.Hasher, u *uop) {
 	h.Word(uint64(int64(u.oldDst)))
 	h.Word(uint64(int64(u.oldDstFlags)))
 	h.Word(uint64(u.state))
-	h.Word(u.doneAt)
+	h.Word(remaining(u.doneAt, now))
 	h.Word32(u.value)
 	hashFlags(h, u.flags)
 	h.Bool(u.setFlags)

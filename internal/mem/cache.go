@@ -520,6 +520,9 @@ func (c *Cache) TaintDataBit(bit uint64, p *Probe) {
 	p.Arm(c.lines[c.taintSet][c.taintWay].valid)
 }
 
+// Tainted reports whether the cache still tracks a provenance taint.
+func (c *Cache) Tainted() bool { return c.taintProbe != nil }
+
 // ClearTaint drops any tracked taint without emitting an event.
 func (c *Cache) ClearTaint() {
 	c.taintProbe = nil

@@ -171,6 +171,9 @@ func (d *DRAM) AbsorbTaint(addr uint32, p *Probe) {
 	d.taintAddr = addr
 }
 
+// Tainted reports whether the DRAM still tracks a provenance taint.
+func (d *DRAM) Tainted() bool { return d.taintProbe != nil }
+
 // ClearTaint drops any tracked taint without emitting an event.
 func (d *DRAM) ClearTaint() {
 	d.taintProbe = nil

@@ -6,6 +6,17 @@
 // fingerprints equal to the golden run once the live state has
 // re-converged. DRAM is fingerprinted per page, so the convergence check
 // rehashes only the pages a run dirtied.
+//
+// The walks can be shift-invariant: nothing they fold then depends on how
+// many cycles the machine has run, only on how it will behave from here
+// on (LRU stamps fold as ranks within their set, deadlines relative to
+// the current cycle). A walk can also append every value it folds to an
+// exact byte image (NewImageHasher), so a hash match and an exact
+// comparison of two images always cover the same state: each value is
+// written at its own width, variable-length content is length-prefixed,
+// and a walk only branches on values it has already folded (validity
+// bitmaps, queue lengths, flags), so equal images mean the two walks
+// folded identical value sequences.
 
 package mem
 
@@ -25,11 +36,16 @@ const (
 // cryptographic; it only needs to make accidental collisions between a
 // diverged and a converged machine state astronomically unlikely.
 type Hasher struct {
-	h uint64
+	h   uint64
+	img *[]byte // exact image every folded value is appended to; nil when hashing only
 }
 
 // NewHasher returns a Hasher at the canonical initial state.
 func NewHasher() *Hasher { return &Hasher{h: fnvOffset} }
+
+// NewImageHasher returns a Hasher that also appends every value it folds,
+// at its own width, to *img — the walk's exact byte image.
+func NewImageHasher(img *[]byte) *Hasher { return &Hasher{h: fnvOffset, img: img} }
 
 // mix folds one word into an accumulator: an FNV step followed by a
 // rotation. A multiply mod 2^64 only carries a difference upward, so
@@ -39,17 +55,30 @@ func NewHasher() *Hasher { return &Hasher{h: fnvOffset} }
 func mix(h, v uint64) uint64 { return bits.RotateLeft64((h^v)*fnvPrime, 29) }
 
 // Word mixes one 64-bit value.
-func (s *Hasher) Word(v uint64) { s.h = mix(s.h, v) }
+func (s *Hasher) Word(v uint64) {
+	s.h = mix(s.h, v)
+	if s.img != nil {
+		*s.img = binary.LittleEndian.AppendUint64(*s.img, v)
+	}
+}
 
 // Word32 mixes one 32-bit value.
-func (s *Hasher) Word32(v uint32) { s.Word(uint64(v)) }
+func (s *Hasher) Word32(v uint32) {
+	s.h = mix(s.h, uint64(v))
+	if s.img != nil {
+		*s.img = binary.LittleEndian.AppendUint32(*s.img, v)
+	}
+}
 
 // Bool mixes a boolean.
 func (s *Hasher) Bool(b bool) {
+	var v uint64
 	if b {
-		s.Word(1)
-	} else {
-		s.Word(0)
+		v = 1
+	}
+	s.h = mix(s.h, v)
+	if s.img != nil {
+		*s.img = append(*s.img, byte(v))
 	}
 }
 
@@ -70,31 +99,32 @@ const (
 // ever compared against fingerprints computed the same way, so only
 // collision resistance matters.
 func (s *Hasher) Bytes(b []byte) {
-	s.Word(uint64(len(b)))
+	if s.img != nil {
+		*s.img = append(binary.LittleEndian.AppendUint64(*s.img, uint64(len(b))), b...)
+	}
+	h := mix(s.h, uint64(len(b)))
 	i := 0
 	if len(b) >= 128 {
-		h0, h1, h2, h3 := s.h, s.h^laneSeed1, s.h^laneSeed2, s.h^laneSeed3
+		h0, h1, h2, h3 := h, h^laneSeed1, h^laneSeed2, h^laneSeed3
 		for ; i+32 <= len(b); i += 32 {
 			h0 = mix(h0, binary.LittleEndian.Uint64(b[i:]))
 			h1 = mix(h1, binary.LittleEndian.Uint64(b[i+8:]))
 			h2 = mix(h2, binary.LittleEndian.Uint64(b[i+16:]))
 			h3 = mix(h3, binary.LittleEndian.Uint64(b[i+24:]))
 		}
-		s.Word(h0)
-		s.Word(h1)
-		s.Word(h2)
-		s.Word(h3)
+		h = mix(mix(mix(mix(h, h0), h1), h2), h3)
 	}
 	for ; i+8 <= len(b); i += 8 {
-		s.Word(binary.LittleEndian.Uint64(b[i:]))
+		h = mix(h, binary.LittleEndian.Uint64(b[i:]))
 	}
 	if i < len(b) {
 		var tail uint64
 		for j := 0; i < len(b); i, j = i+1, j+8 {
 			tail |= uint64(b[i]) << j
 		}
-		s.Word(tail)
+		h = mix(h, tail)
 	}
+	s.h = h
 }
 
 // Sum returns the fingerprint accumulated so far.
@@ -215,13 +245,21 @@ func DiffPageBitmap(a, b []uint64) []uint64 {
 }
 
 // HashLive mixes the cache's live state into h: a line-validity bitmap,
-// then tag/dirty/lru/data of each valid line, then the LRU tick. Content
-// of invalid lines is dead — fill() overwrites tag, dirty, and data before
-// any read, and victim() returns invalid ways before consulting lru — so
-// it is excluded, letting faults flipped into invalid lines fingerprint as
-// converged. Event counters are excluded: they never feed back into the
-// data path or the campaign Result.
-func (c *Cache) HashLive(h *Hasher) {
+// then tag/dirty/LRU stamp/data of each valid line, then the LRU tick.
+// Content of invalid lines is dead — fill() overwrites tag, dirty, and
+// data before any read, and victim() returns invalid ways before
+// consulting lru — so it is excluded, letting faults flipped into invalid
+// lines fingerprint as converged. Event counters are excluded: they never
+// feed back into the data path or the campaign Result.
+//
+// ranked folds each stamp as its rank among the set's valid lines and
+// leaves the tick out: replacement only ever compares one set's valid
+// stamps, and every new stamp exceeds them all, so two caches holding the
+// same recency order behave identically whatever their clocks read — the
+// shift-invariant form the hang proof compares one run at two cycles in.
+// Unranked, the stamps fold as they are: enough where two runs are
+// compared at one cycle, and cheaper.
+func (c *Cache) HashLive(h *Hasher, ranked bool) {
 	var bm uint64
 	nbit := 0
 	for s := range c.lines {
@@ -239,27 +277,49 @@ func (c *Cache) HashLive(h *Hasher) {
 		h.Word(bm)
 	}
 	for s := range c.lines {
-		for w := range c.lines[s] {
-			ln := &c.lines[s][w]
+		set := c.lines[s]
+		for w := range set {
+			ln := &set[w]
 			if !ln.valid {
 				continue
 			}
 			h.Word32(ln.tag)
 			h.Bool(ln.dirty)
-			h.Word(ln.lru)
+			if ranked {
+				h.Word32(lruRank(set, ln.lru))
+			} else {
+				h.Word(ln.lru)
+			}
 			h.Bytes(ln.data)
 		}
 	}
-	h.Word(c.tick)
+	if !ranked {
+		h.Word(c.tick)
+	}
+}
+
+// lruRank counts a set's valid lines stamped before lru.
+func lruRank(set []cacheLine, lru uint64) uint32 {
+	var r uint32
+	for v := range set {
+		if set[v].valid && set[v].lru < lru {
+			r++
+		}
+	}
+	return r
 }
 
 // HashLive mixes the TLB's live state into h: an entry-validity bitmap,
-// then bits/lru of each valid entry, then the LRU tick. Invalid entries'
-// translation bits and lru are dead state (Insert fully overwrites the
-// victim entry and prefers invalid victims unconditionally) and are
-// excluded; a fault that flips the valid bit itself changes the bitmap and
-// is caught.
-func (t *TLB) HashLive(h *Hasher) {
+// then bits and LRU stamp of each valid entry, then the LRU tick — or,
+// ranked, each stamp's rank among the valid entries and no tick, for the
+// reason Cache.HashLive gives. Invalid entries' translation bits and lru
+// are dead state (Insert fully overwrites the victim entry and prefers
+// invalid victims unconditionally) and are excluded; a fault that flips
+// the valid bit itself changes the bitmap and is caught. The mru hint and
+// dups flag are excluded too: dups is set by every flip and cleared only
+// with the entries, so while it is clear valid tags are unique and the
+// hint finds exactly the first match.
+func (t *TLB) HashLive(h *Hasher, ranked bool) {
 	var bm uint64
 	nbit := 0
 	for i := range t.entries {
@@ -275,11 +335,24 @@ func (t *TLB) HashLive(h *Hasher) {
 		h.Word(bm)
 	}
 	for i := range t.entries {
-		if !t.entries[i].Valid() {
+		e := &t.entries[i]
+		if !e.Valid() {
 			continue
 		}
-		h.Word(t.entries[i].bits)
-		h.Word(t.entries[i].lru)
+		h.Word(e.bits)
+		if !ranked {
+			h.Word(e.lru)
+			continue
+		}
+		var rank uint32
+		for j := range t.entries {
+			if t.entries[j].Valid() && t.entries[j].lru < e.lru {
+				rank++
+			}
+		}
+		h.Word32(rank)
 	}
-	h.Word(t.tick)
+	if !ranked {
+		h.Word(t.tick)
+	}
 }

@@ -268,3 +268,62 @@ func (d *DRAM) EqualBasePages(base []byte, img *PageImage) bool {
 	}
 	return bytes.Equal(d.data[prev:], base[prev:])
 }
+
+// SaveDirty copies the dirty-page bitmap into bm and the content of every
+// page it marks into pages, reusing both buffers, and returns them. Under
+// tracking, every unmarked page still holds what the last restore put
+// there, so the copy pins the whole image at the cost of the dirty pages.
+func (d *DRAM) SaveDirty(bm []uint64, pages []byte) ([]uint64, []byte) {
+	bm = append(bm[:0], d.dirty...)
+	pages = pages[:0]
+	d.eachDirtyPage(func(page []byte) bool {
+		pages = append(pages, page...)
+		return true
+	})
+	return bm, pages
+}
+
+// SameDirty reports whether the DRAM still matches a SaveDirty copy
+// byte-exactly: the same pages marked dirty, each holding the saved bytes.
+// Pages unmarked at both points hold their restored content at both.
+func (d *DRAM) SameDirty(bm []uint64, pages []byte) bool {
+	if len(bm) != len(d.dirty) {
+		return false
+	}
+	for i := range bm {
+		if bm[i] != d.dirty[i] {
+			return false
+		}
+	}
+	off := 0
+	return d.eachDirtyPage(func(page []byte) bool {
+		if len(pages)-off < len(page) || !bytes.Equal(pages[off:off+len(page)], page) {
+			return false
+		}
+		off += len(page)
+		return true
+	}) && off == len(pages)
+}
+
+// eachDirtyPage calls fn on every page marked dirty, in address order,
+// until fn returns false; it reports whether every call returned true.
+func (d *DRAM) eachDirtyPage(fn func(page []byte) bool) bool {
+	for i, w := range d.dirty {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &^= 1 << b
+			start := (i<<6 + b) << pageShift
+			if !fn(d.data[start:min(start+PageBytes, len(d.data))]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FoldDirty mixes the dirty-page bitmap into h.
+func (d *DRAM) FoldDirty(h *Hasher) {
+	for _, w := range d.dirty {
+		h.Word(w)
+	}
+}

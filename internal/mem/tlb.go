@@ -311,6 +311,9 @@ func (t *TLB) TaintBit(bit uint64, p *Probe) {
 	p.Arm(t.entries[t.taintIdx].Valid())
 }
 
+// Tainted reports whether the TLB still tracks a provenance taint.
+func (t *TLB) Tainted() bool { return t.taintProbe != nil }
+
 // ClearTaint drops any tracked taint without emitting an event.
 func (t *TLB) ClearTaint() {
 	t.taintProbe = nil

@@ -13,6 +13,7 @@ import (
 
 	"armsefi/internal/core/fault"
 	"armsefi/internal/core/sched"
+	"armsefi/internal/soc"
 )
 
 func TestRegistryIdentity(t *testing.T) {
@@ -356,5 +357,35 @@ func TestReadSummaryRejectsGarbage(t *testing.T) {
 	s, err := ReadSummary(strings.NewReader(""))
 	if err != nil || s.Records != 0 {
 		t.Errorf("empty trace: %v, %d records", err, s.Records)
+	}
+}
+
+// TestLadderRunHangProof checks the ladder metrics: a hang proof counts in
+// armsefi_ladder_hang_proofs_total and its computed tail joins the
+// fast-forwarded cycles, next to the rung restore and golden convergence;
+// and the trace summary flags a proof on anything but a timeout.
+func TestLadderRunHangProof(t *testing.T) {
+	o := New(Options{})
+	o.LadderRun(soc.LadderStats{FastForwarded: 100, EarlyExit: true, TailSaved: 20})
+	o.LadderRun(soc.LadderStats{FastForwarded: 50, HangProved: true, ProvedAt: 900, TailSaved: 1000})
+	reg := o.Registry()
+	for name, want := range map[string]int64{
+		"armsefi_ladder_rung_hits_total":          2,
+		"armsefi_ladder_early_exits_total":        1,
+		"armsefi_ladder_hang_proofs_total":        1,
+		"armsefi_ladder_fastforward_cycles_total": 100 + 20 + 50 + 1000,
+	} {
+		if v := reg.Counter(name, "").Value(); v != want {
+			t.Errorf("%s = %d, want %d", name, v, want)
+		}
+	}
+
+	s := Summarize([]Record{
+		{Kind: KindInjection, Workload: "w", Comp: fault.CompDTLB, Outcome: "timeout", HangProof: 900},
+		{Kind: KindInjection, Workload: "w", Comp: fault.CompDTLB, Outcome: "poweroff", HangProof: 900},
+		{Kind: KindInjection, Workload: "w", Comp: fault.CompDTLB, Outcome: "timeout"},
+	})
+	if c := s.Component(KindInjection, "w", fault.CompDTLB); c.HangProofs != 2 || c.HangProofBad != 1 {
+		t.Errorf("hang proofs %d, bad %d; want 2, 1", c.HangProofs, c.HangProofBad)
 	}
 }

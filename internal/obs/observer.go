@@ -52,6 +52,7 @@ type Observer struct {
 	rungHits   *Counter
 	ffCycles   *Counter
 	earlyExits *Counter
+	hangProofs *Counter
 	done       *Gauge
 	total      *Gauge
 	workers    *Gauge
@@ -101,9 +102,11 @@ func New(opts Options) *Observer {
 	o.rungHits = reg.Counter("armsefi_ladder_rung_hits_total",
 		"injection runs fast-forwarded by a checkpoint-ladder rung restore")
 	o.ffCycles = reg.Counter("armsefi_ladder_fastforward_cycles_total",
-		"simulated cycles skipped by rung restores and golden-convergence early exits")
+		"simulated cycles skipped by rung restores, golden-convergence early exits and hang proofs")
 	o.earlyExits = reg.Counter("armsefi_ladder_early_exits_total",
 		"injection runs cut short by golden convergence")
+	o.hangProofs = reg.Counter("armsefi_ladder_hang_proofs_total",
+		"injection runs proven to hang by an exact state recurrence")
 	o.done = reg.Gauge("armsefi_campaign_done", "experiments completed so far")
 	o.total = reg.Gauge("armsefi_campaign_total", "experiments planned (grows as workloads register)")
 	o.workers = reg.Gauge("armsefi_campaign_workers", "live campaign workers")
@@ -190,8 +193,9 @@ func (o *Observer) ObservePool(p *sched.Pool) {
 
 // LadderRun records what the checkpoint ladder did for one experiment: a
 // rung restore above cycle zero (with the golden-prefix cycles it
-// skipped) and/or a golden-convergence early exit (with the tail cycles
-// it saved). Campaigns without a ladder never call it.
+// skipped), and a golden-convergence early exit or a hang proof (with the
+// tail cycles it saved; a verified proof saves none). Campaigns without a
+// ladder never call it.
 func (o *Observer) LadderRun(s soc.LadderStats) {
 	if o == nil {
 		return
@@ -202,8 +206,11 @@ func (o *Observer) LadderRun(s soc.LadderStats) {
 	}
 	if s.EarlyExit {
 		o.earlyExits.Inc()
-		o.ffCycles.Add(int64(s.TailSaved))
 	}
+	if s.HangProved {
+		o.hangProofs.Inc()
+	}
+	o.ffCycles.Add(int64(s.TailSaved))
 }
 
 // Mechanism records one propagation-provenance verdict into the

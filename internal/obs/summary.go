@@ -50,6 +50,11 @@ type ComponentSummary struct {
 	// Deduped counts records materialized from an equivalence-class
 	// representative without simulation.
 	Deduped int
+	// HangProofs counts records whose run was ended by a hang proof;
+	// HangProofBad counts those whose outcome is not a timeout (always
+	// zero for a healthy trace: a proven recurrence can only time out).
+	HangProofs   int
+	HangProofBad int
 }
 
 // WorkloadSummary aggregates one workload's trace records.
@@ -239,6 +244,12 @@ func Summarize(recs []Record) *Summary {
 		}
 		if rec.Dedup {
 			c.Deduped++
+		}
+		if rec.HangProof != 0 {
+			c.HangProofs++
+			if rec.Outcome != "timeout" {
+				c.HangProofBad++
+			}
 		}
 		if rec.Mechanism != "" {
 			c.MechRecords++

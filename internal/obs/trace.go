@@ -86,6 +86,11 @@ type Record struct {
 	// short by golden convergence (ladder-enabled campaigns only).
 	FFCycles  uint64 `json:"ff_cycles,omitempty"`
 	EarlyExit bool   `json:"early_exit,omitempty"`
+	// HangProof is the cycle at which the run's state was proven to recur
+	// exactly, so its watchdog-time Result was computed rather than
+	// simulated to the end (ladder-enabled campaigns only). Only a timeout
+	// can carry one.
+	HangProof uint64 `json:"hang_proof,omitempty"`
 	// Mechanism is the propagation-provenance verdict explaining how the
 	// injected bit reached its class (provenance-enabled runs only; every
 	// traced record of a provenance campaign carries one).

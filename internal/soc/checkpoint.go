@@ -19,6 +19,7 @@
 package soc
 
 import (
+	"reflect"
 	"sort"
 
 	"armsefi/internal/cpu"
@@ -45,8 +46,11 @@ type Checkpoint struct {
 
 	// lastBeatAbs is the capture run's last-heartbeat cycle at this rung;
 	// it lives outside machine state (the run loop tracks it), so the
-	// early-exit comparison checks it explicitly.
+	// early-exit comparison checks it explicitly. instrs is the committed
+	// instruction count, which the shift-invariant state walk leaves out:
+	// the early exit returns the golden count, so it must match too.
 	lastBeatAbs uint64
+	instrs      uint64
 
 	// pageFP holds the golden DRAM's per-page fingerprints at this rung and
 	// diffPages the bitmap of pages where it differs from the base image
@@ -93,8 +97,9 @@ type LadderStats struct {
 	FastForwarded uint64
 	// EarlyExit reports that the run was cut short by golden convergence.
 	EarlyExit bool
-	// TailSaved is the cycle count not executed thanks to the early exit
-	// (golden total minus the convergence cycle).
+	// TailSaved is the cycle count not executed thanks to an early exit:
+	// golden total minus the convergence cycle, or the watchdog cycle minus
+	// the hang-proof cycle.
 	TailSaved uint64
 	// DivergedAt is the cycle of the first rung crossing whose fingerprint
 	// did NOT match golden — the cheapest upper bound on when the fault's
@@ -104,11 +109,20 @@ type LadderStats struct {
 	// ConvergedAt is the cycle of the rung where the early exit fired
 	// (zero when the run never converged back onto the golden ladder).
 	ConvergedAt uint64
-	// VerifyMismatches counts the rung crossings where the incremental
-	// dirty-page DRAM comparison disagreed with the exact full-image one
-	// (Machine.VerifyConvergence runs only). Either a dirty-tracking
-	// invariant broke or a page fingerprint collided; the campaign
-	// engines fail the campaign on any.
+	// HangProved reports that the run's state was proven to recur exactly,
+	// so it can only end at the watchdog; ProvedAt is the cycle the proof
+	// completed and HangPeriod the proven recurrence period. Unless the
+	// run was verified, TailSaved then counts the cycles from there to the
+	// watchdog that were computed, not simulated.
+	HangProved bool
+	ProvedAt   uint64
+	HangPeriod uint64
+	// VerifyMismatches counts the fast-path verdicts Machine.VerifyConvergence
+	// found wrong: rung crossings where the incremental dirty-page DRAM
+	// comparison disagreed with the exact full-image one, and a proven
+	// hang whose computed Result differs from the one simulated to the
+	// watchdog. Either means a broken invariant; the campaign engines fail
+	// the campaign on any.
 	VerifyMismatches int
 }
 
@@ -172,19 +186,36 @@ func (l *Ladder) rungFor(cycle uint64) *Checkpoint {
 }
 
 // microFingerprint folds the machine's non-DRAM live state into h: core
-// micro-state, cache and TLB live content, and device state. Only
+// micro-state and device state (headFingerprint), then cache and TLB live
+// content. Only
 // provably dead state (content of invalid lines, free registers, expired
-// deadlines — see the HashLive/HashMicro contracts) is excluded.
-func (m *Machine) microFingerprint(h *mem.Hasher) {
+// deadlines — see the HashLive/HashMicro contracts) is excluded. The core
+// walk leaves out the cycle and instruction counters and folds deadlines
+// relative to now. With canonical set, the whole walk is shift-invariant —
+// LRU stamps fold as ranks — and the timer count is left out while its
+// interrupt is pending: the form the hang proof compares one run at two
+// cycles in (see hangProof, which admits the projection only over
+// stretches that make no timer access). Golden convergence compares two
+// runs at one cycle, where the raw stamps and count are comparable and
+// ranking would only add cost to every rung crossing.
+func (m *Machine) microFingerprint(h *mem.Hasher, canonical bool) {
+	m.headFingerprint(h, canonical)
+	m.Mem.L1I.HashLive(h, canonical)
+	m.Mem.L1D.HashLive(h, canonical)
+	m.Mem.L2.HashLive(h, canonical)
+	m.Mem.ITLB.HashLive(h, canonical)
+	m.Mem.DTLB.HashLive(h, canonical)
+}
+
+// headFingerprint folds the first, cheap stage of microFingerprint: the
+// core and the devices — kilobytes, against the caches' hundreds.
+func (m *Machine) headFingerprint(h *mem.Hasher, canonical bool) {
 	m.core.HashMicro(h)
-	m.Mem.L1I.HashLive(h)
-	m.Mem.L1D.HashLive(h)
-	m.Mem.L2.HashLive(h)
-	m.Mem.ITLB.HashLive(h)
-	m.Mem.DTLB.HashLive(h)
 	h.Word32(m.Timer.period)
-	h.Word(m.Timer.count)
 	h.Bool(m.Timer.pending)
+	if !canonical || !m.Timer.pending {
+		h.Word(m.Timer.count)
+	}
 	h.Bool(m.SysCtl.halted)
 	h.Word32(m.SysCtl.exitCode)
 	h.Word(m.SysCtl.beats)
@@ -200,7 +231,7 @@ func (m *Machine) microFingerprint(h *mem.Hasher) {
 // fingerprint match implies the remaining execution is identical to the
 // golden run's.
 func (m *Machine) fingerprint(h *mem.Hasher) {
-	m.microFingerprint(h)
+	m.microFingerprint(h, false)
 	foldPageFP(h, m.DRAM.HashPages(nil))
 }
 
@@ -224,7 +255,7 @@ func (m *Machine) Fingerprint() uint64 {
 // microFPSum returns just the non-DRAM fingerprint stage.
 func (m *Machine) microFPSum() uint64 {
 	h := mem.NewHasher()
-	m.microFingerprint(h)
+	m.microFingerprint(h, false)
 	return h.Sum()
 }
 
@@ -241,7 +272,7 @@ func (m *Machine) captureCheckpoint(base *Snapshot, basePF []uint64, lastBeatAbs
 	// the replay has written are re-hashed and re-diffed; unmarked pages
 	// are byte-identical to the base image, exactly.
 	h := mem.NewHasher()
-	m.microFingerprint(h)
+	m.microFingerprint(h, false)
 	micro := h.Sum()
 	var pageFP []uint64
 	if m.DRAM.Tracking(base.dram) {
@@ -260,6 +291,7 @@ func (m *Machine) captureCheckpoint(base *Snapshot, basePF []uint64, lastBeatAbs
 		Fingerprint: h.Sum(),
 		microFP:     micro,
 		lastBeatAbs: lastBeatAbs,
+		instrs:      m.core.Instructions(),
 		pageFP:      pageFP,
 		diffPages:   diffPages,
 		img:         m.DRAM.BuildPageImage(base.dram, pageFP, diffPages, prevImg),
@@ -388,20 +420,24 @@ func (m *Machine) dramConverged(l *Ladder, r *Checkpoint, stats *LadderStats) bo
 // restore the nearest rung at or below injectAt, run with the injection,
 // and after the fault compare fingerprints at every rung crossing — on a
 // match the rest of the run is deterministic and identical to golden, so
-// the golden Final is returned immediately. The Result is bit-identical
-// to RestoreSnapshot + RunWithInjection with the same arguments.
+// the golden Final is returned immediately. A run that outlives the golden
+// run is sampled for an exact state recurrence instead (see hangProof): a
+// proven one can only end at the watchdog, so its Result is computed
+// rather than simulated. The Result is bit-identical to RestoreSnapshot +
+// RunWithInjection with the same arguments. Under VerifyConvergence a
+// proven run still simulates to the watchdog, and a computed Result that
+// differs from the simulated one is counted in stats.VerifyMismatches.
 func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, inject func()) (Result, LadderStats) {
 	rung := l.rungFor(injectAt)
 	m.RestoreCheckpoint(l, rung)
 	stats := LadderStats{FastForwarded: rung.Cycle}
 
-	uartBase := len(l.base.uart)
-	beatsBase := l.base.sysctl.s.beats
-	aliveBase := l.base.sysctl.s.appAlive
 	lastBeats := m.SysCtl.Beats()
 	lastBeatAbs := rung.lastBeatAbs
 	injected := false
 	next := sort.Search(len(l.rungs), func(i int) bool { return l.rungs[i].Cycle > injectAt })
+	var hang hangProof
+	var proven *Result
 
 	res := Result{}
 	for {
@@ -422,6 +458,11 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 		if !injected && abs >= injectAt {
 			inject()
 			injected = true
+			// The proof compares DRAM over the pages dirtied since the
+			// restore, so it needs tracking (RestoreCheckpoint arms it).
+			if m.DRAM.Tracking(l.base.dram) {
+				hang = m.newHangProof(l.Final.Cycles, watchdog)
+			}
 		}
 		if injected && next < len(l.rungs) {
 			for next < len(l.rungs) && l.rungs[next].Cycle < abs {
@@ -430,12 +471,13 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 			if next < len(l.rungs) && l.rungs[next].Cycle == abs {
 				r := l.rungs[next]
 				next++
-				// Staged convergence check: the cheap non-DRAM fingerprint
-				// first (a diverged run almost always differs there), then
-				// the DRAM comparison — incremental over dirty pages when
-				// tracking is active, exact base+image memcmp otherwise.
-				if lastBeatAbs == r.lastBeatAbs && m.microFPSum() == r.microFP &&
-					m.dramConverged(l, r, &stats) {
+				// Staged convergence check: the cheap counters and non-DRAM
+				// fingerprint first (a diverged run almost always differs
+				// there), then the DRAM comparison — incremental over dirty
+				// pages when tracking is active, exact base+image memcmp
+				// otherwise.
+				if lastBeatAbs == r.lastBeatAbs && m.core.Instructions() == r.instrs &&
+					m.microFPSum() == r.microFP && m.dramConverged(l, r, &stats) {
 					stats.EarlyExit = true
 					stats.TailSaved = l.Final.Cycles - abs
 					stats.ConvergedAt = abs
@@ -445,6 +487,20 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 					stats.DivergedAt = abs
 				}
 			}
+		}
+		if hang.on && abs >= hang.due && hang.observe(m, abs) {
+			// The state recurs exactly: the run can only time out.
+			ext := m.ladderResult(l, lastBeatAbs)
+			ext.Outcome = OutcomeTimeout
+			ext.Cycles, ext.Instructions = extrapolateHang(&hang, m)
+			stats.HangProved = true
+			stats.ProvedAt = abs
+			stats.HangPeriod = hang.period
+			if !m.VerifyConvergence {
+				stats.TailSaved = ext.Cycles - abs
+				return ext, stats
+			}
+			proven, hang.on = &ext, false
 		}
 		d := m.core.StepCycle()
 		m.Timer.Tick(d)
@@ -458,13 +514,26 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 		// state still carries it (mirrors RunWithInjection).
 		inject()
 	}
-	res.Cycles = m.core.Cycles()
-	res.Instructions = m.core.Instructions()
-	res.Output = m.UART.Tail(uartBase)
-	res.Beats = m.SysCtl.Beats() - beatsBase
-	res.AppAlive = m.SysCtl.AppAlive() - aliveBase
-	res.LastBeatCycle = lastBeatAbs
+	outcome, code := res.Outcome, res.ExitCode
+	res = m.ladderResult(l, lastBeatAbs)
+	res.Outcome, res.ExitCode = outcome, code
+	if proven != nil && !reflect.DeepEqual(*proven, res) {
+		stats.VerifyMismatches++
+	}
 	return res, stats
+}
+
+// ladderResult assembles a ladder run's Result counters from the
+// machine's current state (the outcome is the caller's).
+func (m *Machine) ladderResult(l *Ladder, lastBeatAbs uint64) Result {
+	return Result{
+		Cycles:        m.core.Cycles(),
+		Instructions:  m.core.Instructions(),
+		Output:        m.UART.Tail(len(l.base.uart)),
+		Beats:         m.SysCtl.Beats() - l.base.sysctl.s.beats,
+		AppAlive:      m.SysCtl.AppAlive() - l.base.sysctl.s.appAlive,
+		LastBeatCycle: lastBeatAbs,
+	}
 }
 
 // FastForwardGolden replaces a fault-free full run: it restores the

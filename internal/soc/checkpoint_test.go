@@ -270,3 +270,35 @@ func TestLadderDebugCrossCheckCountsDisagreement(t *testing.T) {
 			stats.EarlyExit, plain.EarlyExit, res.Cycles, l.Final.Cycles)
 	}
 }
+
+// TestLadderConvergenceComparesInstructions pins the explicit instruction
+// count in golden convergence: the state walk leaves the counter out, so
+// a run whose state matches a rung's with a different count committed
+// must not take the early exit. A self-cancelling fault converges at the
+// first rung crossing; with the rungs' recorded counts off by one it
+// must instead run to completion, still returning the full replay's
+// Result.
+func TestLadderConvergenceComparesInstructions(t *testing.T) {
+	m, snap, l := captureLadder(t, ModelAtomic, false, 2_000)
+	watchdog := 2*l.Final.Cycles + 1_000_000
+	at := l.Final.Cycles / 3
+	inject := func() {
+		m.Core().FlipRegFileBit(40)
+		m.Core().FlipRegFileBit(40)
+	}
+	m.RestoreSnapshot(snap, false)
+	want := m.RunWithInjection(watchdog, at, inject)
+	if _, stats := m.RunLadderInjection(l, watchdog, at, inject); !stats.EarlyExit {
+		t.Fatal("self-cancelling fault did not converge")
+	}
+	for _, r := range l.rungs {
+		if r.Cycle > at {
+			r.instrs++
+		}
+	}
+	got, stats := m.RunLadderInjection(l, watchdog, at, inject)
+	if stats.EarlyExit || !reflect.DeepEqual(got, want) {
+		t.Fatalf("instruction counts differ from every rung: early exit %v, ladder %+v, plain %+v",
+			stats.EarlyExit, got, want)
+	}
+}

@@ -76,6 +76,11 @@ type Timer struct {
 	period  uint32
 	count   uint64
 	pending bool
+
+	// accesses counts MMIO reads and writes. It is not device state (no
+	// register exposes it and no behaviour depends on it); the hang proof
+	// reads it to show a loop never touched the timer.
+	accesses uint64
 }
 
 var _ mem.Device = (*Timer)(nil)
@@ -92,6 +97,7 @@ func (t *Timer) Name() string { return "timer" }
 
 // Read32 implements mem.Device.
 func (t *Timer) Read32(off uint32) uint32 {
+	t.accesses++
 	switch off {
 	case timerPeriod:
 		return t.period
@@ -104,6 +110,7 @@ func (t *Timer) Read32(off uint32) uint32 {
 
 // Write32 implements mem.Device.
 func (t *Timer) Write32(off, val uint32) {
+	t.accesses++
 	switch off {
 	case timerPeriod:
 		t.period = val

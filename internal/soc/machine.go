@@ -20,6 +20,7 @@ type archCore interface {
 	SaveMicro() *cpu.MicroState
 	LoadMicro(*cpu.MicroState)
 	HashMicro(*mem.Hasher)
+	Tainted() bool
 }
 
 // Outcome is the machine-level result of a run.
@@ -103,6 +104,7 @@ type Machine struct {
 	VerifyConvergence bool
 
 	core archCore
+	hang hangScratch
 	app  *asm.Program
 }
 
