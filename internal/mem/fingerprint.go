@@ -11,8 +11,9 @@
 // many cycles the machine has run, only on how it will behave from here
 // on (LRU stamps fold as ranks within their set, deadlines relative to
 // the current cycle). A walk can also append every value it folds to an
-// exact byte image (NewImageHasher), so a hash match and an exact
-// comparison of two images always cover the same state: each value is
+// exact byte image (NewImageHasher), or compare what it folds with such
+// an image as it goes (NewCheckHasher), so a hash match and an exact
+// comparison always cover the same state: each value is
 // written at its own width, variable-length content is length-prefixed,
 // and a walk only branches on values it has already folded (validity
 // bitmaps, queue lengths, flags), so equal images mean the two walks
@@ -21,6 +22,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 )
@@ -38,7 +40,18 @@ const (
 type Hasher struct {
 	h   uint64
 	img *[]byte // exact image every folded value is appended to; nil when hashing only
+
+	// Checking (NewCheckHasher): *img is a small window that Bytes
+	// compares with the front of ref, the rest of a recorded image, and
+	// empties once it holds checkWindow bytes; differ records a mismatch.
+	checking bool
+	differ   bool
+	ref      []byte
 }
+
+// checkWindow is how many image bytes a checking Hasher gathers before it
+// compares them with the recorded image.
+const checkWindow = 4 << 10
 
 // NewHasher returns a Hasher at the canonical initial state.
 func NewHasher() *Hasher { return &Hasher{h: fnvOffset} }
@@ -46,6 +59,34 @@ func NewHasher() *Hasher { return &Hasher{h: fnvOffset} }
 // NewImageHasher returns a Hasher that also appends every value it folds,
 // at its own width, to *img — the walk's exact byte image.
 func NewImageHasher(img *[]byte) *Hasher { return &Hasher{h: fnvOffset, img: img} }
+
+// NewCheckHasher returns a Hasher that compares the image its walk would
+// record with ref, an image NewImageHasher recorded, as the walk runs:
+// the values pass through *window, a reusable buffer of a few kilobytes,
+// instead of a second full image. Matches gives the verdict.
+func NewCheckHasher(ref []byte, window *[]byte) *Hasher {
+	*window = (*window)[:0]
+	return &Hasher{h: fnvOffset, img: window, checking: true, ref: ref}
+}
+
+// Matches reports whether a checking Hasher's walk produced exactly the
+// recorded image: the same bytes, and no more or fewer.
+func (s *Hasher) Matches() bool {
+	s.compareWindow()
+	return !s.differ && len(s.ref) == 0
+}
+
+// compareWindow compares the gathered window with the front of the
+// recorded image, consumes both, and notes a mismatch.
+func (s *Hasher) compareWindow() {
+	w := *s.img
+	if len(w) > len(s.ref) || !bytes.Equal(w, s.ref[:len(w)]) {
+		s.differ, s.ref = true, nil
+	} else {
+		s.ref = s.ref[len(w):]
+	}
+	*s.img = w[:0]
+}
 
 // mix folds one word into an accumulator: an FNV step followed by a
 // rotation. A multiply mod 2^64 only carries a difference upward, so
@@ -101,6 +142,9 @@ const (
 func (s *Hasher) Bytes(b []byte) {
 	if s.img != nil {
 		*s.img = append(binary.LittleEndian.AppendUint64(*s.img, uint64(len(b))), b...)
+		if s.checking && len(*s.img) >= checkWindow {
+			s.compareWindow()
+		}
 	}
 	h := mix(s.h, uint64(len(b)))
 	i := 0
@@ -258,7 +302,8 @@ func DiffPageBitmap(a, b []uint64) []uint64 {
 // same recency order behave identically whatever their clocks read — the
 // shift-invariant form the hang proof compares one run at two cycles in.
 // Unranked, the stamps fold as they are: enough where two runs are
-// compared at one cycle, and cheaper.
+// compared at one cycle, and cheaper — ranking compares every pair of a
+// set's ways, which with a full L2 adds a third or more to the walk.
 func (c *Cache) HashLive(h *Hasher, ranked bool) {
 	var bm uint64
 	nbit := 0

@@ -116,6 +116,52 @@ func TestImageHasherExact(t *testing.T) {
 	}
 }
 
+// TestCheckHasherMatchesImage pins the streamed comparison: a checking
+// walk matches a recorded image exactly when recording it again would
+// give equal bytes — across window boundaries, and not for a walk that
+// stops early or runs on.
+func TestCheckHasherMatchesImage(t *testing.T) {
+	line := make([]byte, 32)
+	walk := func(h *Hasher, lines int, flip int) {
+		for i := 0; i < lines; i++ {
+			h.Word32(uint32(i))
+			h.Bool(i%3 == 0)
+			line[0] = byte(i)
+			if i == flip {
+				line[5] ^= 1
+			}
+			h.Bytes(line)
+			line[5] = 0
+		}
+	}
+	var ref []byte
+	walk(NewImageHasher(&ref), 1000, -1)
+	if len(ref) < 4*checkWindow {
+		t.Fatalf("image of %d bytes spans too few windows", len(ref))
+	}
+	var window []byte
+	for _, tc := range []struct {
+		lines, flip int
+		want        bool
+	}{
+		{1000, -1, true},
+		{1000, 0, false},
+		{1000, 500, false},
+		{1000, 999, false},
+		{999, -1, false},
+		{1001, -1, false},
+	} {
+		h := NewCheckHasher(ref, &window)
+		walk(h, tc.lines, tc.flip)
+		if got := h.Matches(); got != tc.want {
+			t.Errorf("%d lines, flip %d: matches %v, want %v", tc.lines, tc.flip, got, tc.want)
+		}
+		if cap(window) > 2*checkWindow {
+			t.Errorf("window grew to %d bytes", cap(window))
+		}
+	}
+}
+
 // TestSaveDirtySameDirty pins the proof's DRAM comparison: unchanged
 // dirty pages match, a changed byte or a newly dirtied page does not.
 func TestSaveDirtySameDirty(t *testing.T) {

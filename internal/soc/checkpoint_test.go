@@ -86,9 +86,13 @@ func TestRestoreCheckpointBitIdenticalToReplay(t *testing.T) {
 			// Replay from the snapshot, sampling the fingerprint at the rung
 			// cycle via the injection hook (it runs at the top of the step
 			// loop, the exact point captureCheckpoint runs at).
-			var replayFP uint64
+			// The fingerprint leaves out the cycle and instruction
+			// counters, so they are compared on their own.
+			var replayFP, replayInstrs uint64
 			m.RestoreSnapshot(snap, false)
-			m.RunWithInjection(ladderBudget, c.Cycle, func() { replayFP = m.Fingerprint() })
+			m.RunWithInjection(ladderBudget, c.Cycle, func() {
+				replayFP, replayInstrs = m.Fingerprint(), m.Core().Instructions()
+			})
 			if replayFP != c.Fingerprint {
 				t.Errorf("%v rung %d (cycle %d): replay fingerprint %#x != captured %#x",
 					model, i, c.Cycle, replayFP, c.Fingerprint)
@@ -103,6 +107,10 @@ func TestRestoreCheckpointBitIdenticalToReplay(t *testing.T) {
 			}
 			if m.Core().Cycles() != c.Cycle {
 				t.Errorf("%v rung %d: restored cycle %d != %d", model, i, m.Core().Cycles(), c.Cycle)
+			}
+			if got := m.Core().Instructions(); got != replayInstrs {
+				t.Errorf("%v rung %d: restored instruction count %d != replay %d",
+					model, i, got, replayInstrs)
 			}
 			cont := m.Run(ladderBudget)
 			if cont.Cycles != l.Final.Cycles-c.Cycle {
@@ -178,12 +186,18 @@ func TestFastForwardGolden(t *testing.T) {
 	m.RestoreSnapshot(snap, true)
 	plain := m.Run(ladderBudget)
 	endFP := m.Fingerprint()
+	endCycles, endInstrs := m.Core().Cycles(), m.Core().Instructions()
 	res := m.FastForwardGolden(l)
 	if !reflect.DeepEqual(res, plain) {
 		t.Errorf("fast-forward result %+v != plain run %+v", res, plain)
 	}
 	if got := m.Fingerprint(); got != endFP {
 		t.Errorf("fast-forwarded end state fingerprint %#x != full-run %#x", got, endFP)
+	}
+	// The fingerprint leaves out the core's counters: compare them too.
+	if c, i := m.Core().Cycles(), m.Core().Instructions(); c != endCycles || i != endInstrs {
+		t.Errorf("fast-forwarded core at cycle %d, %d instructions; full run %d, %d",
+			c, i, endCycles, endInstrs)
 	}
 	if !m.SysCtl.Halted() {
 		t.Error("fast-forwarded machine not halted")

@@ -8,12 +8,13 @@
 // staged convergence check, the cheap stage only filters: the proof is
 // exact. The walk's full byte image, caches and TLBs included, plus the
 // dirtied DRAM pages are recorded at cycle t, and the run is confirmed
-// only if the state at t+P is byte-identical. The machine is
-// deterministic, so from then on it repeats the same P cycles forever: it
-// can never power off or go fatal, and everything a Result reports is
-// either unchanged (output, heartbeats, alive calls, last-beat cycle —
-// all part of the compared state) or grows by the same amount every
-// period (cycles, instructions). The Result at the watchdog is therefore
+// only if the state at t+P is byte-identical; the confirming walk is
+// compared with the recording as it runs, so a machine holds one
+// snapshot. The machine is deterministic, so from then on it repeats the
+// same P cycles forever: it can never power off or go fatal, and
+// everything a Result reports is either unchanged (output, heartbeats,
+// alive calls, last-beat cycle — all part of the compared state) or grows
+// by the same amount every period (cycles, instructions). The Result at the watchdog is therefore
 // computed, not simulated.
 //
 // Timer projection: a kernel spinning with interrupts masked leaves the
@@ -31,11 +32,7 @@
 
 package soc
 
-import (
-	"bytes"
-
-	"armsefi/internal/mem"
-)
+import "armsefi/internal/mem"
 
 const (
 	// hangSampleEvery is the minimum spacing of recurrence samples in
@@ -51,13 +48,14 @@ const (
 
 // hangScratch holds a machine's reusable hang-proof buffers: the one exact
 // state snapshot (walk image, dirty-page bitmap and page copies), the
-// image of the walk it is compared against, and the sample table. Runs
-// reuse them, so a proof allocates nothing once warm.
+// few-kilobyte window the confirming walk streams through to compare
+// itself with the snapshot, and the sample table. Runs reuse them, so
+// once warm a proof allocates only each walk's small Hasher.
 type hangScratch struct {
-	img, check []byte
-	dirty      []uint64
-	pages      []byte
-	seen       map[uint64]uint64 // sample hash -> cycle
+	img, window []byte
+	dirty       []uint64
+	pages       []byte
+	seen        map[uint64]uint64 // sample hash -> cycle
 }
 
 // hangProof is one run's recurrence search.
@@ -132,15 +130,11 @@ func (p *hangProof) observe(m *Machine, abs uint64) bool {
 	return false
 }
 
-// hangWalk is the state walk the proof samples and compares: the
-// canonical (shift-invariant, timer-projected) non-DRAM walk.
-func (m *Machine) hangWalk(h *mem.Hasher) { m.microFingerprint(h, true) }
-
 // begin records the exact snapshot at t1 = abs and starts confirming the
 // candidate period.
 func (p *hangProof) begin(m *Machine, abs, period uint64) {
 	m.hang.img = m.hang.img[:0]
-	m.hangWalk(mem.NewImageHasher(&m.hang.img))
+	m.microFingerprint(mem.NewImageHasher(&m.hang.img), true)
 	m.hang.dirty, m.hang.pages = m.DRAM.SaveDirty(m.hang.dirty, m.hang.pages)
 	p.confirming = true
 	p.t1, p.period = abs, period
@@ -176,9 +170,9 @@ func (p *hangProof) confirm(m *Machine, abs uint64) bool {
 	if p.pendingAtConfirm && m.Timer.accesses != p.timerAcc {
 		return false // the count was projected away but the timer was touched
 	}
-	m.hang.check = m.hang.check[:0]
-	m.hangWalk(mem.NewImageHasher(&m.hang.check))
-	return bytes.Equal(m.hang.check, m.hang.img) && m.DRAM.SameDirty(m.hang.dirty, m.hang.pages)
+	h := mem.NewCheckHasher(m.hang.img, &m.hang.window)
+	m.microFingerprint(h, true)
+	return h.Matches() && m.DRAM.SameDirty(m.hang.dirty, m.hang.pages)
 }
 
 // extrapolate returns the proven run's cycle and instruction counts at
