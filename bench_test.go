@@ -472,12 +472,7 @@ func avfOf(wb *harness.Workbench, rng *rand.Rand, comp fault.Component, n int, w
 			Bit:   uint64(rng.Int63n(int64(size))),
 			Cycle: uint64(rng.Int63n(int64(wb.Golden.Cycles))),
 		}
-		var cls fault.Class
-		if warm {
-			cls = wb.RunFaultWarm(f)
-		} else {
-			cls = wb.RunFault(f)
-		}
+		cls, _, _, _ := wb.RunFaultLadder(f, warm)
 		if cls != fault.ClassMasked {
 			bad++
 		}

@@ -370,7 +370,7 @@ func verifyInjectionResult(s *obs.Summary, res *gefin.Result, label string) int 
 	// Simulated means neither predicted nor deduplicated on both sides.
 	// (Verify campaigns simulate every slot, so the trace carries no
 	// predicted records there — nothing to cross-check.)
-	if ps := res.Prune; ps != nil && ps.Verified == 0 {
+	if ps := res.Prune; ps != nil && !res.Config.Verify {
 		if pred != ps.Predicted || sim != ps.Simulated {
 			fmt.Printf("MISMATCH prune split: trace has %d predicted / %d simulated records, result summarises %d / %d\n",
 				pred, sim, ps.Predicted, ps.Simulated)

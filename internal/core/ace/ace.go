@@ -3,18 +3,19 @@
 // between probabilistic models and statistical fault injection (Mukherjee
 // et al. [12]; accuracy examined against injection by Wang et al. [28]).
 //
-// One instrumented golden run measures, for every cache line and TLB
-// entry, how long each value remained architecturally correct-execution
-// relevant (from fill/write to last consuming read, or to writeback). The
-// per-structure AVF estimate is ACE-cycles / (capacity x time). Because
-// the analysis is per-line rather than per-bit, it systematically
-// over-estimates AVF relative to fault injection — the bias [28]
-// quantifies and the AblationACEvsInjection bench reproduces.
+// One instrumented golden replay — the same one whose liveness log the
+// campaign pre-filter queries (harness.BuildLiveness) — measures, for
+// every cache line and TLB entry, how long each value remained
+// architecturally correct-execution relevant (from fill/write to last
+// consuming read, or to writeback). The per-structure AVF estimate is
+// ACE-cycles / (capacity x time). Because the analysis is per-line rather
+// than per-bit, it systematically over-estimates AVF relative to fault
+// injection — the bias [28] quantifies and the AblationACEvsInjection
+// bench reproduces.
 package ace
 
 import (
 	"fmt"
-
 	"time"
 
 	"armsefi/internal/bench"
@@ -78,60 +79,44 @@ func (r *Result) Component(c fault.Component) (ComponentEstimate, bool) {
 	return ComponentEstimate{}, false
 }
 
-// Run performs the instrumented golden run for one workload. It needs a
-// single simulation — the methodology's selling point — and returns AVF
+// Run performs the instrumented golden replay for one workload and reads
+// each structure's estimate from its liveness log. It needs a single
+// simulation — the methodology's selling point — and returns AVF
 // estimates for the five memory structures (the register file is outside
 // ACE's residency model).
 func Run(cfg Config, spec bench.Spec) (*Result, error) {
 	cfg = cfg.withDefaults()
-	built, err := spec.Build(soc.UserAsmConfig(), cfg.Scale)
+	wb, err := harness.Build(cfg.Preset, cfg.Model, spec, cfg.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("ace: %w", err)
 	}
-	wb, err := harness.New(cfg.Preset, cfg.Model, built)
-	if err != nil {
-		return nil, fmt.Errorf("ace: %w", err)
-	}
-	m := wb.Machine
-	m.RestoreSnapshot(wb.Snap, false)
-
-	clock := func() uint64 { return m.Core().Cycles() }
-	trackers := []struct {
-		comp fault.Component
-		life *mem.LifetimeTracker
-	}{
-		{fault.CompL1I, m.Mem.L1I.AttachLifetimeTracker(clock)},
-		{fault.CompL1D, m.Mem.L1D.AttachLifetimeTracker(clock)},
-		{fault.CompL2, m.Mem.L2.AttachLifetimeTracker(clock)},
-		{fault.CompITLB, m.Mem.ITLB.AttachLifetimeTracker(clock)},
-		{fault.CompDTLB, m.Mem.DTLB.AttachLifetimeTracker(clock)},
-	}
-	defer func() {
-		m.Mem.L1I.DetachLifetimeTracker()
-		m.Mem.L1D.DetachLifetimeTracker()
-		m.Mem.L2.DetachLifetimeTracker()
-		m.Mem.ITLB.DetachLifetimeTracker()
-		m.Mem.DTLB.DetachLifetimeTracker()
-	}()
-
 	start := time.Now()
-	res := m.Run(wb.Watchdog)
-	wall := time.Since(start)
-	if !res.CleanExit() {
-		return nil, fmt.Errorf("ace: instrumented run of %s failed: %v", spec.Name, res.Outcome)
+	if err := wb.BuildLiveness(false); err != nil {
+		return nil, fmt.Errorf("ace: %w", err)
 	}
+	wall := time.Since(start)
+	log := wb.Liveness
+	end := log.Final.Cycles
 	out := &Result{
 		Workload:     spec.Name,
 		Scale:        cfg.Scale,
-		GoldenCycles: res.Cycles,
+		GoldenCycles: end,
 	}
-	for _, tr := range trackers {
-		total, read := tr.life.Values()
+	for _, s := range []struct {
+		comp fault.Component
+		sum  mem.Lifetimes
+	}{
+		{fault.CompL1I, log.L1I.Lifetimes(end)},
+		{fault.CompL1D, log.L1D.Lifetimes(end)},
+		{fault.CompL2, log.L2.Lifetimes(end)},
+		{fault.CompITLB, log.ITLB.Lifetimes(end)},
+		{fault.CompDTLB, log.DTLB.Lifetimes(end)},
+	} {
 		est := ComponentEstimate{
-			Comp:        tr.comp,
-			AVF:         tr.life.Finalize(),
-			ValuesTotal: total,
-			ValuesRead:  read,
+			Comp:        s.comp,
+			AVF:         s.sum.AVF(end),
+			ValuesTotal: s.sum.Values,
+			ValuesRead:  s.sum.ValuesRead,
 		}
 		out.Components = append(out.Components, est)
 		cfg.Obs.AceRun(spec.Name, est.Comp, est.AVF, wall)

@@ -19,7 +19,6 @@ import (
 	"armsefi/internal/core/sched"
 	"armsefi/internal/mem"
 	"armsefi/internal/obs"
-	"armsefi/internal/soc"
 )
 
 // plannedFault is one pre-drawn injection of the campaign plan.
@@ -137,17 +136,7 @@ func execPlanned(cfg Config, wb *harness.Workbench, workload string, probe *mem.
 	if cfg.Obs.On() {
 		start = time.Now()
 	}
-	var (
-		class fault.Class
-		ctx   fault.Context
-		raw   soc.Result
-		ls    soc.LadderStats
-	)
-	if probe != nil {
-		class, ctx, raw, ls = wb.RunFaultProv(p.f, cfg.WarmCaches, probe)
-	} else {
-		class, ctx, raw, ls = wb.RunFaultLadder(p.f, cfg.WarmCaches)
-	}
+	class, ctx, raw, ls := wb.RunFaultProv(p.f, cfg.WarmCaches, probe)
 	o := outcome{class: class, valid: ctx.LineValid, kernel: ctx.KernelOwned(),
 		cycles: raw.Cycles, outstr: raw.Outcome.String(), ladderMismatches: ls.VerifyMismatches}
 	if probe.Armed() {
@@ -270,23 +259,15 @@ func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*W
 		counted = func(i int) bool { return i%cfg.FaultsPerComponent < cuts[i/cfg.FaultsPerComponent] }
 	}
 	ps, ds := splits(r.via, func(i int) string { return w.pp.preds[i].Mech.String() }, counted)
+	if err := r.miss.err(spec.Name); err != nil {
+		return nil, side, err
+	}
 	if w.pp != nil {
-		ps.Mismatches = r.miss.prune
-		if cfg.Verify {
-			ps.Verified = ps.Predicted
-		}
 		side.prune = &ps
 	}
 	if w.dd != nil {
 		ds.Classes, ds.MaxClass = w.dd.stats.Classes, w.dd.stats.MaxClass
-		ds.Mismatches = r.miss.dedup
-		if cfg.Verify {
-			ds.Verified = ds.Deduped
-		}
 		side.dedup = &ds
-	}
-	if err := r.miss.err(spec.Name); err != nil {
-		return nil, side, err
 	}
 	if cfg.Exhaustive {
 		res, sweep := aggregateExhaustive(cfg, spec.Name, w.wb.Golden.Cycles, w.wb.Golden.Instructions, w.sizes, w.ep, r.outcomes)

@@ -266,12 +266,6 @@ type PruneSummary struct {
 	Simulated int `json:"simulated"`
 	// ByMechanism counts predictions per masking-mechanism verdict.
 	ByMechanism map[string]int `json:"by_mechanism,omitempty"`
-	// Verified and Mismatches report Verify cross-validation:
-	// predictions also simulated and checked against their simulated
-	// mechanism/outcome, and disagreements found (any mismatch also fails
-	// the campaign).
-	Verified   int `json:"verified,omitempty"`
-	Mismatches int `json:"mismatches,omitempty"`
 }
 
 // merge folds another summary into s.
@@ -281,8 +275,6 @@ func (s *PruneSummary) merge(o *PruneSummary) {
 	}
 	s.Predicted += o.Predicted
 	s.Simulated += o.Simulated
-	s.Verified += o.Verified
-	s.Mismatches += o.Mismatches
 	for m, n := range o.ByMechanism {
 		if s.ByMechanism == nil {
 			s.ByMechanism = make(map[string]int)
@@ -322,11 +314,6 @@ type DedupSummary struct {
 	Deduped   int `json:"deduped"`
 	Simulated int `json:"simulated"`
 	MaxClass  int `json:"max_class,omitempty"`
-	// Verified and Mismatches report Verify cross-validation: members
-	// also simulated and compared against their representative's outcome,
-	// and disagreements found (any mismatch also fails the campaign).
-	Verified   int `json:"verified,omitempty"`
-	Mismatches int `json:"mismatches,omitempty"`
 }
 
 // merge folds another summary into s.
@@ -337,8 +324,6 @@ func (s *DedupSummary) merge(o *DedupSummary) {
 	s.Classes += o.Classes
 	s.Deduped += o.Deduped
 	s.Simulated += o.Simulated
-	s.Verified += o.Verified
-	s.Mismatches += o.Mismatches
 	if o.MaxClass > s.MaxClass {
 		s.MaxClass = o.MaxClass
 	}

@@ -1,11 +1,13 @@
 package gefin
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
 	"armsefi/internal/bench"
 	"armsefi/internal/core/fault"
+	"armsefi/internal/obs"
 	"armsefi/internal/soc"
 )
 
@@ -77,9 +79,6 @@ func TestPruneSummarySplit(t *testing.T) {
 	if s.Predicted == 0 {
 		t.Fatal("pre-filter decided nothing on a cache-heavy plan")
 	}
-	if s.Verified != 0 || s.Mismatches != 0 {
-		t.Fatalf("non-shadow run reports verification: %+v", s)
-	}
 	byMech := 0
 	for _, n := range s.ByMechanism {
 		byMech += n
@@ -90,6 +89,43 @@ func TestPruneSummarySplit(t *testing.T) {
 	if f := s.PredictedFraction(); f <= 0 || f >= 1 {
 		t.Fatalf("predicted fraction %f out of (0,1)", f)
 	}
+}
+
+// runVerifyTraced runs a Verify campaign for one workload with a trace
+// attached and checks that it simulated every plan slot: one injection
+// record per slot, none resolved by prediction or deduplication. The run
+// returning at all means every simulated verdict agreed with its
+// prediction or representative: any disagreement fails the campaign.
+func runVerifyTraced(t *testing.T, cfg Config, workload string) *Result {
+	t.Helper()
+	spec, _ := bench.ByName(workload)
+	var buf bytes.Buffer
+	cfg.Obs = obs.New(obs.Options{TraceWriter: &buf})
+	res, err := Run(cfg, []bench.Spec{spec}, nil)
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", workload, cfg.Workers, err)
+	}
+	if err := cfg.Obs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadRecords(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulated := 0
+	for _, r := range recs {
+		if r.Kind != obs.KindInjection {
+			continue
+		}
+		if r.Predicted || r.Dedup {
+			t.Fatalf("%s workers=%d: Verify run resolved a slot without simulating it: %+v", workload, cfg.Workers, r)
+		}
+		simulated++
+	}
+	if want := PlanLen(cfg.withDefaults()); simulated != want {
+		t.Fatalf("%s workers=%d: %d simulated injection records, plan has %d slots", workload, cfg.Workers, simulated, want)
+	}
+	return res
 }
 
 // TestPruneVerifyShadowMode is the cross-validation harness: a Verify
@@ -105,18 +141,10 @@ func TestPruneVerifyShadowMode(t *testing.T) {
 			cfg.Workers = workers
 			cfg.CheckpointEvery = soc.DefaultCheckpointEvery
 			cfg.Prune, cfg.Dedup, cfg.Verify = true, true, true
-			spec, _ := bench.ByName(workload)
-			res, err := Run(cfg, []bench.Spec{spec}, nil)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", workload, workers, err)
-			}
+			res := runVerifyTraced(t, cfg, workload)
 			s := res.Prune
 			if s == nil || s.Predicted == 0 {
 				t.Fatalf("%s workers=%d: shadow mode predicted nothing", workload, workers)
-			}
-			if s.Verified != s.Predicted || s.Mismatches != 0 {
-				t.Fatalf("%s workers=%d: verified %d/%d with %d mismatches",
-					workload, workers, s.Verified, s.Predicted, s.Mismatches)
 			}
 			if want := PlanLen(cfg.withDefaults()); s.Predicted+s.Simulated+res.Dedup.Deduped != want {
 				t.Fatalf("%s workers=%d: shadow split %d predicted + %d simulated + %d deduped != plan %d",

@@ -149,8 +149,7 @@ func (r *ShardRunner) Release(workload string) {
 
 // shardSplits derives a workload's prune and dedup splits from its
 // assembled shard outcomes, through the same per-slot derivation as the
-// in-process summaries. Verified stays zero: a shard that returned at
-// all passed its verification.
+// in-process summaries.
 func shardSplits(outs []ShardOutcome) (PruneSummary, DedupSummary) {
 	via := make([]slotVia, len(outs))
 	for k, o := range outs {

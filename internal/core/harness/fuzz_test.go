@@ -65,7 +65,7 @@ func FuzzLadderMatchesPlain(f *testing.F) {
 			Cycle: cycle % wb.Golden.Cycles,
 		}
 		cls, ctx, res, stats := wb.RunFaultLadder(flt, false)
-		pcls, pctx, pres := ref.RunFaultFull(flt, false)
+		pcls, pctx, pres, _ := ref.RunFaultLadder(flt, false)
 		if cls != pcls || ctx != pctx || !reflect.DeepEqual(res, pres) {
 			t.Fatalf("%s %+v: ladder (%v, %+v, %+v) != plain (%v, %+v, %+v); ladder stats %+v",
 				fuzzWorkloads[i], flt, cls, ctx, res, pcls, pctx, pres, stats)

@@ -37,7 +37,7 @@ func TestHangProofFixtures(t *testing.T) {
 			}
 			wb, ref := pair[0], pair[1]
 			cls, _, res, stats := wb.RunFaultLadder(tc.f, false)
-			pcls, _, pres := ref.RunFaultFull(tc.f, false)
+			pcls, _, pres, _ := ref.RunFaultLadder(tc.f, false)
 			if !reflect.DeepEqual(res, pres) || cls != pcls {
 				t.Fatalf("ladder %v %+v != plain %v %+v", cls, res, pcls, pres)
 			}

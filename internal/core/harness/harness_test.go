@@ -111,8 +111,8 @@ func TestCloneIsEquivalent(t *testing.T) {
 		{Comp: fault.CompL1D, Bit: 2048, Cycle: wb.Golden.Cycles / 2},
 		{Comp: fault.CompDTLB, Bit: 5, Cycle: 1000},
 	} {
-		a, actx := wb.RunFaultDetail(f, false)
-		b, bctx := clone.RunFaultDetail(f, false)
+		a, actx, _, _ := wb.RunFaultLadder(f, false)
+		b, bctx, _, _ := clone.RunFaultLadder(f, false)
 		if a != b || actx != bctx {
 			t.Fatalf("fault %v: original %v/%+v vs clone %v/%+v", f, a, actx, b, bctx)
 		}

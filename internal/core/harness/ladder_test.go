@@ -58,7 +58,7 @@ func TestLadderBitIdentityAndEarlyExitSoundness(t *testing.T) {
 		for i := 0; i < n; i++ {
 			f := sampleFault(rng, wb.Machine, comps, wb.Golden.Cycles)
 			cls, ctx, res, stats := wb.RunFaultLadder(f, warm)
-			pcls, pctx, pres := ref.RunFaultFull(f, warm)
+			pcls, pctx, pres, _ := ref.RunFaultLadder(f, warm)
 			if cls != pcls || ctx != pctx || !reflect.DeepEqual(res, pres) {
 				t.Fatalf("warm=%v fault %+v: ladder (%v, %+v, %+v) != plain (%v, %+v, %+v)",
 					warm, f, cls, ctx, res, pcls, pctx, pres)
@@ -100,7 +100,7 @@ func TestLadderWarmModeMismatchFallsBack(t *testing.T) {
 	if stats != (soc.LadderStats{}) {
 		t.Fatalf("mismatched warm mode still used the ladder: %+v", stats)
 	}
-	pcls, _, pres := ref.RunFaultFull(f, true)
+	pcls, _, pres, _ := ref.RunFaultLadder(f, true)
 	if cls != pcls || !reflect.DeepEqual(res, pres) {
 		t.Fatalf("fallback path diverged: %v vs %v", cls, pcls)
 	}

@@ -11,6 +11,11 @@
 // corruption down the hierarchy — leaves the verdict undecided and the
 // fault goes to the simulator.
 //
+// Beside the event stream each way keeps a running line-granular ACE
+// lifetime summary, from which the same replay yields the classic
+// single-simulation AVF estimate (ace.Run) — one recorder per array
+// serves both analyses.
+//
 // Stamps are the replay loop's top-of-loop cycle values (the loop sets
 // *clock before each StepCycle), the same instants at which the injection
 // loops fire inject(). An injection at cycle F therefore lands before
@@ -96,9 +101,64 @@ type liveWay struct {
 	events   []liveEvent
 	gens     []liveGen
 	overflow bool
+	span     liveSpan
+}
+
+// liveSpan is a way's running line-granular ACE lifetime summary
+// (Mukherjee et al.): every bit of the way shares the lifetime of the
+// value it holds, from the fill or write that opened it to its last
+// consuming read, or to its departure if it leaves dirty. Values are
+// counted from the first fill or write after recording starts; content
+// already present at attach time is not one. ACE time starts at stamp+1,
+// the first cycle at which an injection hits the new value.
+type liveSpan struct {
+	open, dirty, read bool
+	birth, lastRead   uint64
+
+	aceCycles, values, valuesRead uint64
+}
+
+func (s *liveSpan) note(at uint64, kind uint8) {
+	switch kind {
+	case liveRead:
+		if s.open {
+			if !s.read {
+				s.read = true
+				s.valuesRead++
+			}
+			s.lastRead = at
+		}
+	case liveWrite, liveFill:
+		s.close(at, false)
+		s.open, s.dirty, s.read, s.birth = true, kind == liveWrite, false, at
+		s.values++
+	case liveEvictClean:
+		s.close(at, false)
+	case liveEvictDirty:
+		s.close(at, true)
+	}
+}
+
+// close ends the current value's lifetime at cycle at: a value leaving
+// by writeback stays ACE until it departs, any other value until its
+// last read.
+func (s *liveSpan) close(at uint64, writeback bool) {
+	if !s.open {
+		return
+	}
+	switch {
+	case writeback && s.dirty:
+		s.aceCycles += at - s.birth
+	case s.read:
+		s.aceCycles += s.lastRead - s.birth
+	}
+	s.open = false
 }
 
 func (w *liveWay) note(stamp uint64, kind uint8, lo, hi uint16) {
+	// The lifetime summary needs no event list, so it stays exact on
+	// ways hot enough to overflow one.
+	w.span.note(stamp+1, kind)
 	if w.overflow {
 		return
 	}
@@ -229,6 +289,43 @@ func (w *liveWay) enumWindows(byteOff uint16, maxCycle uint64, fn func(start, wi
 	return true
 }
 
+// Lifetimes is one structure's ACE lifetime summary over a recording,
+// the single-simulation AVF estimate of the paper's Section II. Because
+// all bits of a line share its value's lifetime, the estimate
+// over-estimates against fault injection (Wang et al.).
+type Lifetimes struct {
+	// ACECycles sums the entry-cycles during which values mattered.
+	ACECycles uint64
+	// Values counts the value lifetimes opened (fills and writes) and
+	// ValuesRead those read at least once.
+	Values, ValuesRead uint64
+	// Entries is the structure's line or TLB-entry count.
+	Entries int
+}
+
+// lifetimes totals the ways' summaries, closing every value still live
+// at cycle end (dirty ones count as ACE to the end: they would be
+// written back).
+func lifetimes(ways []liveWay, end uint64) Lifetimes {
+	l := Lifetimes{Entries: len(ways)}
+	for i := range ways {
+		s := ways[i].span
+		s.close(end, s.dirty)
+		l.ACECycles += s.aceCycles
+		l.Values += s.values
+		l.ValuesRead += s.valuesRead
+	}
+	return l
+}
+
+// AVF returns the ACE estimate: ACECycles / (Entries x window).
+func (l Lifetimes) AVF(window uint64) float64 {
+	if window == 0 || l.Entries == 0 {
+		return 0
+	}
+	return float64(l.ACECycles) / (float64(window) * float64(l.Entries))
+}
+
 // sigInit/sigFold are the FNV-1a fingerprint the window signature uses.
 const sigInit = uint64(1469598103934665603)
 
@@ -270,7 +367,7 @@ func (c *Cache) AttachLiveness(clock *uint64) *CacheLiveness {
 	for s := range c.lines {
 		for w := range c.lines[s] {
 			if c.lines[s][w].valid {
-				r.ways[c.lifeIdx(uint32(s), w)].open(-1, c.lineAddr(c.lines[s][w].tag, uint32(s)))
+				r.ways[s*c.cfg.Ways+w].open(-1, c.lineAddr(c.lines[s][w].tag, uint32(s)))
 			}
 		}
 	}
@@ -341,6 +438,10 @@ func (r *CacheLiveness) EnumWindows(bit, maxCycle uint64, fn func(start, width u
 	byteOff := uint16(bit % lineBits / 8)
 	return r.ways[set*uint64(r.nways)+way].enumWindows(byteOff, maxCycle, fn)
 }
+
+// Lifetimes returns the cache's ACE lifetime summary, closing the values
+// still live at cycle end.
+func (r *CacheLiveness) Lifetimes(end uint64) Lifetimes { return lifetimes(r.ways, end) }
 
 // Overflowed reports how many ways hit the event cap (diagnostics: their
 // faults classify undecided).
@@ -440,6 +541,10 @@ func (r *TLBLiveness) EnumWindows(bit, maxCycle uint64, fn func(start, width uin
 	idx := bit / TLBEntryBits % r.entries
 	return r.ways[idx].enumWindows(uint16(b), maxCycle, fn)
 }
+
+// Lifetimes returns the TLB's ACE lifetime summary; see
+// CacheLiveness.Lifetimes.
+func (r *TLBLiveness) Lifetimes(end uint64) Lifetimes { return lifetimes(r.ways, end) }
 
 // Overflowed reports how many entries hit the event cap.
 func (r *TLBLiveness) Overflowed() int {

@@ -133,3 +133,58 @@ func TestTLBLivenessVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// TestLifetimesStillDirtyAtEnd checks that a value still dirty when the
+// window closes counts as ACE to the end, and a clean one to its last
+// read.
+func TestLifetimesStillDirtyAtEnd(t *testing.T) {
+	var now uint64
+	c, r := liveCache(&now)
+	now = 10
+	c.Write(0, 4, 1) // dirty value in set 0 from 11
+	now = 20
+	c.Read(32, 4) // clean value in set 1 from 21, read at 21
+	now = 40
+	c.Read(32, 4) // last read at 41
+	if l := r.Lifetimes(100); l.ACECycles != (100-11)+(41-21) {
+		t.Fatalf("ACE = %d, want %d", l.ACECycles, (100-11)+(41-21))
+	}
+}
+
+// TestLifetimesSurviveOverflow checks that the lifetime summary stays
+// exact on a way whose event list overflowed.
+func TestLifetimesSurviveOverflow(t *testing.T) {
+	var now uint64
+	c, r := liveCache(&now)
+	for now = 0; now < liveEventCap+100; now++ {
+		c.Read(0, 4)
+	}
+	if r.Overflowed() != 1 {
+		t.Fatalf("overflowed ways = %d, want 1", r.Overflowed())
+	}
+	now = 1 << 20
+	c.InvalidateAll()
+	// Filled at 1, last read at liveEventCap+100.
+	if l := r.Lifetimes(now); l.ACECycles != liveEventCap+99 || l.Values != 1 || l.ValuesRead != 1 {
+		t.Fatalf("lifetimes = %+v, want %d ACE cycles over 1/1 values", l, liveEventCap+99)
+	}
+}
+
+// TestTLBLifetimes checks the TLB summary: an entry is ACE from its
+// insert to its last hit, and a replacing insert closes it.
+func TestTLBLifetimes(t *testing.T) {
+	var now uint64
+	tlb := NewTLB("t", 1)
+	r := tlb.AttachLiveness(&now)
+	now = 10
+	tlb.Insert(1, 0x40, true, false) // value from 11
+	now = 20
+	tlb.Lookup(1) // read at 21
+	now = 30
+	tlb.Insert(2, 0x41, true, false) // replaces it at 31: ACE 21-11
+	now = 40
+	tlb.Lookup(1) // miss: no read
+	if l := r.Lifetimes(50); l.ACECycles != 10 || l.Values != 2 || l.ValuesRead != 1 || l.Entries != 1 {
+		t.Fatalf("lifetimes = %+v, want 10 ACE cycles over 2 values, 1 read", l)
+	}
+}

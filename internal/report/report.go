@@ -206,10 +206,6 @@ func PruneSplit(s *gefin.PruneSummary) string {
 	}
 	t.Add("predicted (all)", fmt.Sprintf("%d", s.Predicted), pct(s.Predicted))
 	t.Add("simulated", fmt.Sprintf("%d", s.Simulated), pct(s.Simulated))
-	if s.Verified > 0 {
-		t.Add("shadow-verified", fmt.Sprintf("%d", s.Verified),
-			fmt.Sprintf("%d mismatches", s.Mismatches))
-	}
 	return t.String()
 }
 
@@ -233,10 +229,6 @@ func DedupSplit(s *gefin.DedupSummary) string {
 	if s.Classes > 0 {
 		t.Add("classes", fmt.Sprintf("%d", s.Classes),
 			fmt.Sprintf("max size %d", s.MaxClass))
-	}
-	if s.Verified > 0 {
-		t.Add("shadow-verified", fmt.Sprintf("%d", s.Verified),
-			fmt.Sprintf("%d mismatches", s.Mismatches))
 	}
 	return t.String()
 }

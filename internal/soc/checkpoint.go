@@ -346,9 +346,6 @@ func (m *Machine) CaptureLadder(base *Snapshot, warm bool, every uint64, max int
 	// it armed via RestoreCheckpoint.
 	m.DRAM.Rebase(base.dram)
 
-	uartBase := len(base.uart)
-	beatsBase := base.sysctl.s.beats
-	aliveBase := base.sysctl.s.appAlive
 	lastBeats := m.SysCtl.Beats()
 	lastBeatAbs := uint64(0)
 
@@ -387,13 +384,7 @@ func (m *Machine) CaptureLadder(base *Snapshot, warm bool, every uint64, max int
 			lastBeatAbs = m.core.Cycles()
 		}
 	}
-	res.Cycles = m.core.Cycles()
-	res.Instructions = m.core.Instructions()
-	res.Output = m.UART.Tail(uartBase)
-	res.Beats = m.SysCtl.Beats() - beatsBase
-	res.AppAlive = m.SysCtl.AppAlive() - aliveBase
-	res.LastBeatCycle = lastBeatAbs
-	l.Final = res
+	l.Final = m.resultSince(base, res, lastBeatAbs)
 	l.end = m.captureCheckpoint(base, basePF, lastBeatAbs, l.rungs[len(l.rungs)-1])
 	return l
 }
@@ -492,8 +483,7 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 		}
 		if hang.on && abs >= hang.due && hang.observe(m, abs) {
 			// The state recurs exactly: the run can only time out.
-			ext := m.ladderResult(l, lastBeatAbs)
-			ext.Outcome = OutcomeTimeout
+			ext := m.resultSince(l.base, Result{Outcome: OutcomeTimeout}, lastBeatAbs)
 			ext.Cycles, ext.Instructions = extrapolateHang(&hang, m)
 			stats.HangProved = true
 			stats.ProvedAt = abs
@@ -516,26 +506,26 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 		// state still carries it (mirrors RunWithInjection).
 		inject()
 	}
-	outcome, code := res.Outcome, res.ExitCode
-	res = m.ladderResult(l, lastBeatAbs)
-	res.Outcome, res.ExitCode = outcome, code
+	res = m.resultSince(l.base, res, lastBeatAbs)
 	if proven != nil && !reflect.DeepEqual(*proven, res) {
 		stats.VerifyMismatches++
 	}
 	return res, stats
 }
 
-// ladderResult assembles a ladder run's Result counters from the
-// machine's current state (the outcome is the caller's).
-func (m *Machine) ladderResult(l *Ladder, lastBeatAbs uint64) Result {
-	return Result{
-		Cycles:        m.core.Cycles(),
-		Instructions:  m.core.Instructions(),
-		Output:        m.UART.Tail(len(l.base.uart)),
-		Beats:         m.SysCtl.Beats() - l.base.sysctl.s.beats,
-		AppAlive:      m.SysCtl.AppAlive() - l.base.sysctl.s.appAlive,
-		LastBeatCycle: lastBeatAbs,
-	}
+// resultSince completes res (whose outcome and exit code are the
+// caller's) with the counters of a run from the base snapshot to the
+// machine's current state — the one Result assembly of every loop that
+// runs from a restored base: ladder capture, liveness replay and ladder
+// injection runs.
+func (m *Machine) resultSince(base *Snapshot, res Result, lastBeatAbs uint64) Result {
+	res.Cycles = m.core.Cycles()
+	res.Instructions = m.core.Instructions()
+	res.Output = m.UART.Tail(len(base.uart))
+	res.Beats = m.SysCtl.Beats() - base.sysctl.s.beats
+	res.AppAlive = m.SysCtl.AppAlive() - base.sysctl.s.appAlive
+	res.LastBeatCycle = lastBeatAbs
+	return res
 }
 
 // FastForwardGolden replaces a fault-free full run: it restores the

@@ -1,7 +1,8 @@
 // Instrumented golden replay for the campaign pre-filter: one fault-free
 // run with liveness recorders attached to every cache and TLB, producing
 // the immutable LivenessLog the ACE-style analysis queries to classify
-// planned injections without simulating them.
+// planned injections without simulating them, and from which ace.Run
+// reads each structure's lifetime-based AVF estimate.
 //
 // The replay loop mirrors RunWithInjection cycle-for-cycle and stamps
 // every recorded event with the top-of-loop cycle value — the exact
@@ -52,9 +53,6 @@ func (m *Machine) ReplayLiveness(base *Snapshot, warm bool, budget uint64) *Live
 		m.Mem.DTLB.DetachLiveness()
 	}()
 
-	uartBase := len(base.uart)
-	beatsBase := base.sysctl.s.beats
-	aliveBase := base.sysctl.s.appAlive
 	lastBeats := m.SysCtl.Beats()
 	lastBeatAbs := uint64(0)
 
@@ -84,12 +82,6 @@ func (m *Machine) ReplayLiveness(base *Snapshot, warm bool, budget uint64) *Live
 			lastBeatAbs = m.core.Cycles()
 		}
 	}
-	res.Cycles = m.core.Cycles()
-	res.Instructions = m.core.Instructions()
-	res.Output = m.UART.Tail(uartBase)
-	res.Beats = m.SysCtl.Beats() - beatsBase
-	res.AppAlive = m.SysCtl.AppAlive() - aliveBase
-	res.LastBeatCycle = lastBeatAbs
-	log.Final = res
+	log.Final = m.resultSince(base, res, lastBeatAbs)
 	return log
 }
